@@ -15,9 +15,7 @@ from .evaluation import (
     MetricsReport,
     RankRecord,
     evaluate,
-    evaluate_per_relation,
     evaluate_relation_prediction,
-    filtered_rank,
 )
 from .ingest import DatasetLayout, ParseError, load_dataset, parse_triples, write_corrected
 from .models import (
@@ -61,10 +59,8 @@ __all__ = [
     "degree_stats",
     "detect_oov",
     "evaluate",
-    "evaluate_per_relation",
     "evaluate_relation_prediction",
     "filter_index_build",
-    "filtered_rank",
     "grad",
     "init_params",
     "load_checkpoint",

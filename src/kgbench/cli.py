@@ -27,10 +27,10 @@ from .ingest import DatasetLayout, load_dataset, write_corrected
 from .models import CheckpointError, load_checkpoint_for, save_checkpoint
 from .stats import (
     DegenerateSampleError,
-    PairedSample,
     compare_pairs,
     delta_summary,
     load_fixture_pairs,
+    pairs_from_reports,
     wilcoxon_signed_rank,
 )
 from .training import TrainConfig, train, write_loss_csv
@@ -133,12 +133,10 @@ def cmd_eval(args) -> int:
     tie = TIE_ALIASES[args.tie]
     if args.direction == "entity":
         report = evaluate(params, dataset, split=args.split, policy=args.oov_policy,
-                          tie=tie, reciprocal=bool(meta.get("reciprocal")),
-                          threads=args.threads)
+                          tie=tie, reciprocal=bool(meta.get("reciprocal")))
     else:
         report = evaluate_relation_prediction(params, dataset, split=args.split,
-                                              policy=args.oov_policy, tie=tie,
-                                              threads=args.threads)
+                                              policy=args.oov_policy, tie=tie)
     payload = report.to_json_dict(dataset)
     print(reporting.metrics_markdown(payload, label=meta["kind"]))
     if args.json:
@@ -159,28 +157,13 @@ def _print_test(result, samples) -> None:
           f"± {summary['sd_abs_delta']:.4f} over {summary['n']} pairs")
 
 
-def _report_set_pairs(path_a: Path, path_b: Path) -> list[PairedSample]:
-    set_a = json.loads(Path(path_a).read_text(encoding="utf-8"))
-    set_b = json.loads(Path(path_b).read_text(encoding="utf-8"))
-    missing_a = sorted(set(set_b) - set(set_a))
-    missing_b = sorted(set(set_a) - set(set_b))
-    if missing_a or missing_b:
-        raise ValueError(f"report sets do not match; missing from first: {missing_a}, "
-                         f"missing from second: {missing_b}")
-    samples = []
-    for model in sorted(set_a):
-        a, b = set_a[model], set_b[model]
-        samples.append(PairedSample(f"{model}:mrr", a["mrr"], b["mrr"]))
-        for n in ("1", "3", "10"):
-            samples.append(PairedSample(f"{model}:hits@{n}", a["hits"][n], b["hits"][n]))
-    return samples
-
-
 def cmd_compare(args) -> int:
     if args.fixtures:
         samples = load_fixture_pairs(args.fixtures)
     else:
-        samples = _report_set_pairs(Path(args.a), Path(args.b))
+        set_a, set_b = (json.loads(Path(p).read_text(encoding="utf-8"))
+                        for p in (args.a, args.b))
+        samples = pairs_from_reports(set_a, set_b)
     result = compare_pairs(samples, zero_policy=args.zero_policy)
     _print_test(result.test, samples)
     payload = result.to_json_dict()
@@ -252,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="oov_policy")
     p.add_argument("--direction", choices=("entity", "relation"), default="entity")
     p.add_argument("--tie", choices=("mean", "opt", "pess"), default="mean")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", help="write the metrics report here")
     p.set_defaults(func=cmd_eval)
 

@@ -1,9 +1,9 @@
 """Core domain types: triples, vocabularies, split datasets, filter indexes.
 
-Everything here is immutable after construction and safe to share across
-threads. Ids are dense non-negative integers assigned by first occurrence
-in the concatenation train + valid + test; out-of-vocabulary status is
-always decided by set membership, never by id arithmetic.
+Everything here is immutable after construction. Ids are dense
+non-negative integers assigned by first occurrence in the concatenation
+train + valid + test; out-of-vocabulary status is always decided by set
+membership, never by id arithmetic.
 """
 
 from __future__ import annotations

@@ -22,9 +22,8 @@ Hits@N counts ties at the boundary as misses.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -36,9 +35,6 @@ OOV_POLICIES = ("include", "exclude")
 TIE_POLICIES = ("mean", "optimistic", "pessimistic")
 HITS_LEVELS = (1, 3, 10)
 
-#: Fixed accumulation chunk; results are identical for any thread count.
-_CHUNK = 256
-
 
 class EvaluationError(ValueError):
     pass
@@ -46,15 +42,15 @@ class EvaluationError(ValueError):
 
 @dataclass(frozen=True)
 class RankRecord:
-    """Filtered ranks of one evaluation triple (entity and/or relation slots)."""
+    """Filtered MRR ranks and Hits ranks of one evaluation triple's three slots."""
 
     triple: Triple
-    rank_tail: float | None = None
-    rank_head: float | None = None
-    hits_rank_tail: int | None = None
-    hits_rank_head: int | None = None
-    rank_relation: float | None = None
-    hits_rank_relation: int | None = None
+    rank_tail: float
+    rank_head: float
+    rank_relation: float
+    hits_rank_tail: int
+    hits_rank_head: int
+    hits_rank_relation: int
 
 
 @dataclass(frozen=True)
@@ -99,6 +95,8 @@ def _rank_pair(scores: np.ndarray, mask: np.ndarray, target: int,
                tie: str) -> tuple[float, int]:
     """(rank for MRR, integer rank for Hits@N) of target among masked candidates."""
     s_t = scores[target]
+    if not np.isfinite(s_t):
+        raise EvaluationError(f"target score {s_t} is not finite; refusing to rank it")
     sel = scores[mask]
     greater = int(np.count_nonzero(sel > s_t))
     ties_other = int(np.count_nonzero(sel == s_t)) - 1
@@ -136,27 +134,17 @@ def _inverse_relation(params: ModelParams, r: int) -> int:
     return base + r
 
 
-def filtered_rank(params: ModelParams, index: FilterIndex, h: int, r: int, t: int,
-                  direction: str = "tail", tie: str = "mean",
-                  candidates: np.ndarray | None = None,
-                  reciprocal: bool = False) -> float:
-    """Filtered rank of one slot of a known-true triple.
+def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, t: int,
+                       direction: str = "tail", tie: str = "mean",
+                       candidates: np.ndarray | None = None,
+                       reciprocal: bool = False) -> tuple[float, int]:
+    """Filtered (MRR rank, Hits@N rank) of one slot of a known-true triple.
 
     Candidates whose substituted triple occurs anywhere in the index are
     removed (the query triple itself survives). ``candidates`` optionally
     restricts the candidate ids (used by the exclude policy and by
     reciprocal checkpoints whose parameter tables exceed the vocabulary).
-    Returns the rank used for MRR; see :func:`filtered_rank_pair` for the
-    Hits@N companion.
     """
-    return filtered_rank_pair(params, index, h, r, t, direction, tie,
-                              candidates, reciprocal)[0]
-
-
-def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, t: int,
-                       direction: str = "tail", tie: str = "mean",
-                       candidates: np.ndarray | None = None,
-                       reciprocal: bool = False) -> tuple[float, int]:
     _check_tie(tie)
     if not index.contains(Triple(h, r, t)):
         raise EvaluationError(
@@ -188,8 +176,8 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
 class _EvalSetup:
     index: FilterIndex
     triples: tuple[Triple, ...]
-    entity_candidates: np.ndarray | None
-    relation_candidates: np.ndarray | None
+    entity_candidates: np.ndarray
+    relation_candidates: np.ndarray
 
 
 def _setup(params: ModelParams, dataset: SplitDataset, split: str, policy: str,
@@ -202,6 +190,8 @@ def _setup(params: ModelParams, dataset: SplitDataset, split: str, policy: str,
     needed_rel = 2 * vocab.n_relations if reciprocal else vocab.n_relations
     if params.n_relations < needed_rel:
         raise EvaluationError("params do not cover the dataset's relation vocabulary")
+    if not (np.isfinite(params.entities).all() and np.isfinite(params.relations).all()):
+        raise EvaluationError("parameter tables contain non-finite values")
 
     index = filter_index_build(dataset)
     triples = dataset.split(split)
@@ -222,73 +212,35 @@ def _setup(params: ModelParams, dataset: SplitDataset, split: str, policy: str,
     return _EvalSetup(index, triples, ent_candidates, rel_candidates)
 
 
-@dataclass
-class _Partial:
-    rr_sum: float = 0.0
-    hits: dict[int, int] = field(default_factory=lambda: {n: 0 for n in HITS_LEVELS})
-    per_rel_rr: dict[int, float] = field(default_factory=dict)
-    per_rel_n: dict[int, int] = field(default_factory=dict)
+def _rank_split(params: ModelParams, setup: _EvalSetup, directions: tuple[str, ...],
+                tie: str, reciprocal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """MRR ranks and Hits ranks of every split triple, one column per direction."""
+    shape = (len(setup.triples), len(directions))
+    ranks = np.empty(shape)
+    hits_ranks = np.empty(shape, dtype=np.int64)
+    for i, tr in enumerate(setup.triples):
+        for j, direction in enumerate(directions):
+            candidates = (setup.relation_candidates if direction == "relation"
+                          else setup.entity_candidates)
+            ranks[i, j], hits_ranks[i, j] = filtered_rank_pair(
+                params, setup.index, *tr, direction, tie, candidates, reciprocal)
+    return ranks, hits_ranks
 
 
-def _entity_chunk(params: ModelParams, setup: _EvalSetup, tie: str,
-                  reciprocal: bool, chunk: Sequence[Triple]) -> _Partial:
-    part = _Partial()
-    for tr in chunk:
-        rank_t, hit_t = filtered_rank_pair(params, setup.index, *tr, "tail", tie,
-                                           setup.entity_candidates, reciprocal)
-        rank_h, hit_h = filtered_rank_pair(params, setup.index, *tr, "head", tie,
-                                           setup.entity_candidates, reciprocal)
-        rr = 1.0 / rank_t + 1.0 / rank_h
-        part.rr_sum += rr
-        for n in HITS_LEVELS:
-            part.hits[n] += (hit_t <= n) + (hit_h <= n)
-        part.per_rel_rr[tr.r] = part.per_rel_rr.get(tr.r, 0.0) + rr
-        part.per_rel_n[tr.r] = part.per_rel_n.get(tr.r, 0) + 1
-    return part
-
-
-def _relation_chunk(params: ModelParams, setup: _EvalSetup, tie: str,
-                    chunk: Sequence[Triple]) -> _Partial:
-    part = _Partial()
-    for tr in chunk:
-        rank_r, hit_r = filtered_rank_pair(params, setup.index, *tr, "relation", tie,
-                                           setup.relation_candidates)
-        part.rr_sum += 1.0 / rank_r
-        for n in HITS_LEVELS:
-            part.hits[n] += hit_r <= n
-        part.per_rel_rr[tr.r] = part.per_rel_rr.get(tr.r, 0.0) + 1.0 / rank_r
-        part.per_rel_n[tr.r] = part.per_rel_n.get(tr.r, 0) + 1
-    return part
-
-
-def _run_chunks(worker, triples: Sequence[Triple], threads: int) -> list[_Partial]:
-    chunks = [triples[i:i + _CHUNK] for i in range(0, len(triples), _CHUNK)]
-    if threads <= 1:
-        return [worker(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, chunks))
-
-
-def _merge(parts: list[_Partial], n: int, slots: int, policy: str, direction: str,
-           tie: str, reciprocal: bool) -> MetricsReport:
-    rr_sum = 0.0
-    hits = {lvl: 0 for lvl in HITS_LEVELS}
-    per_rel_rr: dict[int, float] = {}
-    per_rel_n: dict[int, int] = {}
-    for part in parts:
-        rr_sum += part.rr_sum
-        for lvl in HITS_LEVELS:
-            hits[lvl] += part.hits[lvl]
-        for rid, v in part.per_rel_rr.items():
-            per_rel_rr[rid] = per_rel_rr.get(rid, 0.0) + v
-        for rid, c in part.per_rel_n.items():
-            per_rel_n[rid] = per_rel_n.get(rid, 0) + c
-    denom = slots * n
+def _report(setup: _EvalSetup, ranks: np.ndarray, hits_ranks: np.ndarray, policy: str,
+            direction: str, tie: str, reciprocal: bool) -> MetricsReport:
+    """MRR, Hits@N and per-relation MRR; every slot of every triple weighs the same."""
+    n, slots = ranks.shape
+    rr = (1.0 / ranks).sum(axis=1)
+    rels = np.fromiter((tr.r for tr in setup.triples), dtype=np.int64, count=n)
+    rel_rr = np.bincount(rels, weights=rr)
+    rel_n = np.bincount(rels)
     return MetricsReport(
-        mrr=rr_sum / denom,
-        hits={lvl: hits[lvl] / denom for lvl in HITS_LEVELS},
-        per_relation_mrr={rid: per_rel_rr[rid] / (slots * per_rel_n[rid])
-                          for rid in sorted(per_rel_rr)},
+        mrr=float(rr.sum()) / (slots * n),
+        hits={lvl: int(np.count_nonzero(hits_ranks <= lvl)) / (slots * n)
+              for lvl in HITS_LEVELS},
+        per_relation_mrr={rid: float(rel_rr[rid]) / (slots * int(rel_n[rid]))
+                          for rid in np.flatnonzero(rel_n).tolist()},
         n_triples=n,
         policy=policy,
         direction=direction,
@@ -298,43 +250,30 @@ def _merge(parts: list[_Partial], n: int, slots: int, policy: str, direction: st
 
 
 def evaluate(params: ModelParams, dataset: SplitDataset, split: str = "test",
-             policy: str = "include", tie: str = "mean", reciprocal: bool = False,
-             threads: int = 1) -> MetricsReport:
+             policy: str = "include", tie: str = "mean",
+             reciprocal: bool = False) -> MetricsReport:
     """Entity-direction link prediction metrics over one split.
 
     MRR averages reciprocal tail and head ranks with denominator 2|split|;
     Hits@N analogously. Under ``exclude`` the denominator shrinks to the
     OOV-free subset.
     """
-    _check_tie(tie)
     setup = _setup(params, dataset, split, policy, reciprocal)
-    worker = lambda chunk: _entity_chunk(params, setup, tie, reciprocal, chunk)
-    parts = _run_chunks(worker, setup.triples, threads)
-    return _merge(parts, len(setup.triples), 2, policy, "entity", tie, reciprocal)
-
-
-def evaluate_per_relation(params: ModelParams, dataset: SplitDataset,
-                          split: str = "test", policy: str = "include",
-                          tie: str = "mean", reciprocal: bool = False,
-                          threads: int = 1) -> dict[int, float]:
-    """Entity-direction MRR grouped by relation (per-relation denominators)."""
-    report = evaluate(params, dataset, split, policy, tie, reciprocal, threads)
-    return report.per_relation_mrr
+    ranks, hits_ranks = _rank_split(params, setup, ("tail", "head"), tie, reciprocal)
+    return _report(setup, ranks, hits_ranks, policy, "entity", tie, reciprocal)
 
 
 def evaluate_relation_prediction(params: ModelParams, dataset: SplitDataset,
                                  split: str = "test", policy: str = "include",
-                                 tie: str = "mean", threads: int = 1) -> MetricsReport:
+                                 tie: str = "mean") -> MetricsReport:
     """Relation-direction metrics: rank the missing relation of (h, ?, t).
 
     Single-slot ranking, so MRR/Hits@N use denominator |split| (no factor 2).
     Reciprocal-augmented checkpoints rank base relations only.
     """
-    _check_tie(tie)
     setup = _setup(params, dataset, split, policy, reciprocal=False)
-    worker = lambda chunk: _relation_chunk(params, setup, tie, chunk)
-    parts = _run_chunks(worker, setup.triples, threads)
-    return _merge(parts, len(setup.triples), 1, policy, "relation", tie, False)
+    ranks, hits_ranks = _rank_split(params, setup, ("relation",), tie, False)
+    return _report(setup, ranks, hits_ranks, policy, "relation", tie, False)
 
 
 def rank_records(params: ModelParams, dataset: SplitDataset, split: str = "test",
@@ -342,13 +281,7 @@ def rank_records(params: ModelParams, dataset: SplitDataset, split: str = "test"
                  reciprocal: bool = False) -> list[RankRecord]:
     """Per-triple rank records (entity direction plus the relation slot)."""
     setup = _setup(params, dataset, split, policy, reciprocal)
-    records = []
-    for tr in setup.triples:
-        rank_t, hit_t = filtered_rank_pair(params, setup.index, *tr, "tail", tie,
-                                           setup.entity_candidates, reciprocal)
-        rank_h, hit_h = filtered_rank_pair(params, setup.index, *tr, "head", tie,
-                                           setup.entity_candidates, reciprocal)
-        rank_r, hit_r = filtered_rank_pair(params, setup.index, *tr, "relation", tie,
-                                           setup.relation_candidates)
-        records.append(RankRecord(tr, rank_t, rank_h, hit_t, hit_h, rank_r, hit_r))
-    return records
+    ranks, hits_ranks = _rank_split(params, setup, ("tail", "head", "relation"), tie,
+                                    reciprocal)
+    return [RankRecord(tr, *rank, *hits)
+            for tr, rank, hits in zip(setup.triples, ranks.tolist(), hits_ranks.tolist())]

@@ -71,12 +71,16 @@ def parse_triples(data: bytes, separator: str = "tab",
     """Parse one split file; preserves file order, labels verbatim.
 
     Trailing empty lines are ignored; any other line must have exactly three
-    fields or a :class:`ParseError` carrying its 1-based line number is raised.
+    fields and no carriage return, or a :class:`ParseError` carrying its
+    1-based line number is raised.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"{path or 'input'} is not valid UTF-8: {exc}") from exc
+    if "\r" in text:
+        raise ParseError("carriage return found; split files must use LF line endings",
+                         text.count("\n", 0, text.index("\r")) + 1, path)
     lines = text.split("\n")
     while lines and lines[-1] == "":
         lines.pop()

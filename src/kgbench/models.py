@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -279,7 +280,13 @@ def load_checkpoint(path: Path, expected_vocab_sha256: str | None = None
     The returned metadata carries ``entity_labels``/``relation_labels`` lists
     in addition to the stored JSON fields.
     """
-    with np.load(path, allow_pickle=False) as data:
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (zipfile.BadZipFile, ValueError) as exc:  # truncated, or not an .npz at all
+        raise CheckpointError(f"{path}: not a kgbench checkpoint ({exc})") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
+        raise CheckpointError(f"{path}: not a kgbench checkpoint (a single array)")
+    with data:
         try:
             meta = json.loads(str(data["meta"]))
             entities = np.asarray(data["entities"], dtype=np.float64)

@@ -19,7 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -203,8 +203,14 @@ class ComparisonResult:
         }
 
 
-def pairs_from_reports(report_a: dict[str, "MetricsReport"],
-                       report_b: dict[str, "MetricsReport"]) -> list[PairedSample]:
+def pairs_from_reports(report_a: Mapping[str, Mapping],
+                       report_b: Mapping[str, Mapping]) -> list[PairedSample]:
+    """Pair MRR and every Hits@N of two report sets, model by model.
+
+    Reports are in JSON form: ``MetricsReport.to_json_dict()`` output, of
+    which only ``mrr`` and ``hits`` are read. Models or Hits@N levels
+    present on one side only are an error.
+    """
     missing_in_b = sorted(set(report_a) - set(report_b))
     missing_in_a = sorted(set(report_b) - set(report_a))
     if missing_in_a or missing_in_b:
@@ -215,11 +221,16 @@ def pairs_from_reports(report_a: dict[str, "MetricsReport"],
     samples = []
     for model in sorted(report_a):
         a, b = report_a[model], report_b[model]
-        samples.append(PairedSample(f"{model}:mrr", a.mrr, b.mrr))
-        for n in sorted(a.hits):
-            if n not in b.hits:
-                raise ValueError(f"model {model}: hits@{n} present in only one report")
-            samples.append(PairedSample(f"{model}:hits@{n}", a.hits[n], b.hits[n]))
+        try:
+            levels = sorted(a["hits"], key=int)
+            if set(levels) != set(b["hits"]):
+                raise ValueError(f"model {model}: Hits@N levels differ: {levels} in the "
+                                 f"first report, {sorted(b['hits'], key=int)} in the second")
+            samples.append(PairedSample(f"{model}:mrr", float(a["mrr"]), float(b["mrr"])))
+            samples.extend(PairedSample(f"{model}:hits@{n}", float(a["hits"][n]),
+                                        float(b["hits"][n])) for n in levels)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"model {model}: not a metrics report: {exc!r}") from exc
     return samples
 
 
@@ -227,9 +238,9 @@ def compare_reports(report_a: dict[str, "MetricsReport"],
                     report_b: dict[str, "MetricsReport"],
                     zero_policy: str = "discard") -> ComparisonResult:
     """Pair up two labeled report sets, test them, and summarize the deltas."""
-    samples = pairs_from_reports(report_a, report_b)
-    test = wilcoxon_signed_rank(samples, zero_policy)
-    return ComparisonResult(test=test, samples=tuple(samples), summary=delta_summary(samples))
+    samples = pairs_from_reports({m: r.to_json_dict() for m, r in report_a.items()},
+                                 {m: r.to_json_dict() for m, r in report_b.items()})
+    return compare_pairs(samples, zero_policy)
 
 
 def compare_pairs(samples: Sequence[PairedSample],

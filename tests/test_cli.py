@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from kgbench.cli import main
@@ -64,6 +65,17 @@ def test_audit_parse_error_exit_65(tmp_path, capsys):
     (d / "test.txt").write_text("c\tp\n")
     assert main(["audit", "--data", str(d)]) == 65
     assert "test.txt:1" in capsys.readouterr().err
+
+
+def test_audit_crlf_dataset_exit_65(tmp_path, capsys):
+    d = tmp_path / "crlf"
+    d.mkdir()
+    (d / "train.txt").write_bytes(b"a\tr\tb\r\nb\tr\tc\r\n")
+    (d / "valid.txt").write_bytes(b"b\tr\ta\r\n")
+    (d / "test.txt").write_bytes(b"c\tr\ta\r\n")
+    assert main(["audit", "--data", str(d)]) == 65
+    err = capsys.readouterr().err
+    assert "train.txt:1" in err and "LF line endings" in err
 
 
 def test_audit_missing_file_exit_66(tmp_path, capsys):
@@ -135,6 +147,25 @@ def test_eval_vocab_mismatch_exit_74(clean_dir, oov_dir, tmp_path, capsys):
     assert "cover" in capsys.readouterr().err
 
 
+def test_eval_bad_checkpoint_exit_codes(clean_dir, tmp_path, capsys):
+    ckpt = tmp_path / "model.npz"
+    assert _train(clean_dir, ckpt, tmp_path) == 0
+    truncated = tmp_path / "truncated.npz"
+    data = ckpt.read_bytes()
+    truncated.write_bytes(data[: len(data) // 2])
+    not_npz = tmp_path / "notes.npz"
+    not_npz.write_text("not a checkpoint\n")
+    bare_array = tmp_path / "array.npz"
+    with open(bare_array, "wb") as fh:
+        np.save(fh, np.zeros(3))
+    capsys.readouterr()
+    for path in (truncated, not_npz, bare_array):
+        assert main(["eval", "--data", str(clean_dir), "--checkpoint", str(path)]) == 74
+        assert str(path) in capsys.readouterr().err
+    missing = tmp_path / "missing.npz"
+    assert main(["eval", "--data", str(clean_dir), "--checkpoint", str(missing)]) == 66
+
+
 def test_eval_exclude_equals_corrected_include_json(oov_dir, tmp_path):
     # one checkpoint, two views of the data: excluding OOV triples on the raw
     # dataset must equal evaluating the corrected copy outright
@@ -182,6 +213,23 @@ def test_compare_report_sets(tmp_path, capsys):
     b.pop("m2")
     pb.write_text(json.dumps(b))
     assert main(["compare", "--a", str(pa), "--b", str(pb)]) == 65
+
+
+def test_compare_report_sets_that_do_not_pair_exit_65(tmp_path, capsys):
+    a = {"m1": {"mrr": 0.40, "hits": {"1": 0.30, "3": 0.45, "10": 0.55}},
+         "m2": {"mrr": 0.20, "hits": {"1": 0.10, "3": 0.22, "10": 0.35}}}
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    without_hits_10 = {"m1": {"mrr": 0.43, "hits": {"1": 0.33, "3": 0.47}},
+                       "m2": {"mrr": 0.24, "hits": {"1": 0.13, "3": 0.27, "10": 0.38}}}
+    mismatched_models = {"m1": a["m1"]}
+    without_mrr = {"m1": {"hits": a["m1"]["hits"]}, "m2": a["m2"]}
+    for b, message in ((without_hits_10, "Hits@N levels"), (mismatched_models, "m2"),
+                       (without_mrr, "mrr")):
+        pb.write_text(json.dumps(b))
+        assert main(["compare", "--a", str(pa), "--b", str(pb)]) == 65
+        assert main(["compare", "--a", str(pb), "--b", str(pa)]) == 65
+        assert message in capsys.readouterr().err
 
 
 def test_compare_identical_reports_degenerate_exit_65(tmp_path, capsys):

@@ -10,17 +10,16 @@ from kgbench import (
     ModelParams,
     detect_oov,
     evaluate,
-    evaluate_per_relation,
     evaluate_relation_prediction,
     filter_index_build,
     init_params,
     load_dataset,
+    split_vocab,
     write_corrected,
 )
 from kgbench.evaluation import (
     EvaluationError,
     _rank_pair,
-    filtered_rank,
     filtered_rank_pair,
     rank_records,
 )
@@ -40,8 +39,8 @@ def test_single_candidate_ranks_first():
     ds = make_dataset([("a", "p", "a")], [], [])
     params = init_params("distmult", 1, 1, 3, seed=0)
     idx = filter_index_build(ds)
-    assert filtered_rank(params, idx, 0, 0, 0, "tail") == 1.0
-    assert filtered_rank(params, idx, 0, 0, 0, "relation") == 1.0
+    assert filtered_rank_pair(params, idx, 0, 0, 0, "tail")[0] == 1.0
+    assert filtered_rank_pair(params, idx, 0, 0, 0, "relation")[0] == 1.0
 
 
 def test_strictly_highest_target_ranks_first_under_all_ties():
@@ -60,7 +59,7 @@ def test_rank_requires_triple_in_index():
     params = init_params("distmult", 2, 1, 3, seed=0)
     idx = filter_index_build(ds)
     with pytest.raises(EvaluationError, match="filter index"):
-        filtered_rank(params, idx, 0, 0, 0, "tail")
+        filtered_rank_pair(params, idx, 0, 0, 0, "tail")[0]
 
 
 def test_rank_pair_translation_invariance():
@@ -252,7 +251,7 @@ def test_per_relation_matches_subset_arithmetic():
     params = init_params("distmult", 7, 2, 4, seed=3)
     union = set((t.h, t.r, t.t) for t in ds.all_triples())
     ent_cands = list(range(7))
-    per_rel = evaluate_per_relation(params, ds, split="test")
+    per_rel = evaluate(params, ds, split="test").per_relation_mrr
     for rid in per_rel:
         triples = [tr for tr in ds.test if tr.r == rid]
         total = 0.0
@@ -331,13 +330,84 @@ def test_metric_bounds_properties():
                 assert report.mrr <= bound + 1e-12
 
 
-def test_threads_do_not_change_results():
-    rng = np.random.default_rng(31)
-    ds = random_kg(rng, 30, 3, n_train=400, n_test=60)
-    params = init_params("complex", 30, 3, 4, seed=2)
-    one = evaluate(params, ds, split="test", threads=1)
-    four = evaluate(params, ds, split="test", threads=4)
-    assert one == four
+def _oov_kg(seed):
+    """Random KG whose test split adds a triple with an OOV tail and one with an OOV head."""
+    base = random_kg(np.random.default_rng(seed), 9, 3, n_train=40, n_test=10)
+    v = base.vocab
+    lab = lambda tr: (v.entity_label(tr.h), v.relation_label(tr.r), v.entity_label(tr.t))
+    h, r, t = lab(base.train[0])
+    test = [lab(tr) for tr in base.test] + [(h, r, "ghost"), ("spook", r, t)]
+    return make_dataset([lab(tr) for tr in base.train], [], test)
+
+
+def _assert_metrics_from_records(report, records, directions):
+    slots = len(directions) * len(records)
+    rr = [sum(1.0 / getattr(rec, f"rank_{d}") for d in directions) for rec in records]
+    assert report.n_triples == len(records)
+    assert report.mrr == pytest.approx(sum(rr) / slots, rel=1e-12)
+    assert set(report.hits) == {1, 3, 10}
+    for n, value in report.hits.items():
+        hits = sum(getattr(rec, f"hits_rank_{d}") <= n for rec in records for d in directions)
+        assert value == pytest.approx(hits / slots, rel=1e-12)
+    per_rel: dict[int, list[float]] = {}
+    for rec, x in zip(records, rr):
+        per_rel.setdefault(rec.triple.r, []).append(x)
+    want = {rid: sum(xs) / (len(directions) * len(xs)) for rid, xs in per_rel.items()}
+    assert report.per_relation_mrr == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_rank_records_and_metrics_follow_filtered_rank_pair(kind):
+    ds = _oov_kg(MODEL_KINDS.index(kind) + 40)
+    idx = filter_index_build(ds)
+    affected = {a.triple for a in detect_oov(ds).test.affected}
+    assert len(affected) == 2
+    train_ents, train_rels = split_vocab(ds.train)
+    candidates = {
+        "include": (np.arange(ds.vocab.n_entities), np.arange(ds.vocab.n_relations)),
+        "exclude": (np.array(sorted(train_ents)), np.array(sorted(train_rels))),
+    }
+    for reciprocal in (False, True):
+        n_rel_rows = ds.vocab.n_relations * (2 if reciprocal else 1)
+        params = init_params(kind, ds.vocab.n_entities, n_rel_rows, 3, seed=5)
+        for policy, (ent, rel) in candidates.items():
+            kept = [tr for tr in ds.test if policy == "include" or tr not in affected]
+            for tie in TIES:
+                records = rank_records(params, ds, policy=policy, tie=tie,
+                                       reciprocal=reciprocal)
+                assert [rec.triple for rec in records] == kept
+                for rec in records:
+                    for direction, cands in (("tail", ent), ("head", ent), ("relation", rel)):
+                        want = filtered_rank_pair(params, idx, *rec.triple, direction, tie,
+                                                  cands, reciprocal)
+                        got = (getattr(rec, f"rank_{direction}"),
+                               getattr(rec, f"hits_rank_{direction}"))
+                        assert got == want, (policy, tie, reciprocal, rec, direction)
+                _assert_metrics_from_records(
+                    evaluate(params, ds, policy=policy, tie=tie, reciprocal=reciprocal),
+                    records, ("tail", "head"))
+                _assert_metrics_from_records(
+                    evaluate_relation_prediction(params, ds, policy=policy, tie=tie),
+                    records, ("relation",))
+
+
+def test_non_finite_parameters_are_refused():
+    ds = make_dataset([("a", "p", "b"), ("b", "p", "c")], [], [("a", "p", "c")])
+    params = init_params("distmult", 3, 1, 3, seed=0)
+    params.entities[ds.vocab.entity_id("a")] = np.nan
+    for rank in (evaluate, evaluate_relation_prediction, rank_records):
+        with pytest.raises(EvaluationError, match="non-finite"):
+            rank(params, ds, split="test")
+
+
+def test_overflowing_target_score_is_refused():
+    ds = make_dataset([("a", "p", "b"), ("b", "p", "c")], [], [("a", "p", "c")])
+    params = init_params("distmult", 3, 1, 3, seed=0)
+    params.entities[:] = 1e200  # finite rows whose products overflow to inf
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="not finite"):
+        evaluate(params, ds, split="test")
+    with pytest.raises(EvaluationError, match="not finite"):
+        _rank_pair(np.array([np.nan, 1.0]), np.ones(2, dtype=bool), 0, "mean")
 
 
 def test_exclude_with_everything_oov_errors():

@@ -38,6 +38,14 @@ def test_parse_interior_blank_line_is_an_error():
         parse_triples(b"a\tp\tb\n\nc\tp\td\n")
 
 
+def test_parse_rejects_carriage_returns_with_line_number():
+    with pytest.raises(ParseError, match="x.txt:2: .*LF line endings") as err:
+        parse_triples(b"a\tp\tb\nc\tp\td\r\n", path="x.txt")
+    assert err.value.line_no == 2
+    with pytest.raises(ParseError, match="line 1"):
+        parse_triples(b"a\tp\tb\r")
+
+
 def test_parse_invalid_utf8():
     with pytest.raises(EncodingError):
         parse_triples(b"a\tp\t\xff\xfe\n")
@@ -134,6 +142,17 @@ def test_write_corrected_identity_when_no_oov(tmp_path):
     ds2 = load_dataset(DatasetLayout(dir=out))
     assert ds2.train == ds.train and ds2.valid == ds.valid and ds2.test == ds.test
     assert ds2.vocab.entities == ds.vocab.entities
+
+
+def test_write_corrected_lf_output_is_byte_exact(tmp_path):
+    d = _toy_files(tmp_path)
+    ds = load_dataset(DatasetLayout(dir=d))
+    out = tmp_path / "out"
+    write_corrected(ds, detect_oov(ds), out)
+    for name in ("train.txt", "valid.txt"):
+        assert (out / name).read_bytes() == (d / name).read_bytes()
+    kept_line = (d / "test.txt").read_bytes().split(b"\n")[0] + b"\n"
+    assert (out / "test.txt").read_bytes() == kept_line == b"b\tq\ta\n"
 
 
 def test_write_corrected_output_is_subsequence(tmp_path):
