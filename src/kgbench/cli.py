@@ -5,7 +5,8 @@ Exit codes are stable so the tool can gate CI pipelines:
 * 0  success (audit: dataset has no OOV)
 * 3  audit only: OOV entities/relations present
 * 64 usage error
-* 65 data error (parse failures, duplicate/overlapping splits, degenerate stats)
+* 65 data error (parse failures, duplicate/overlapping splits, degenerate
+  stats, invalid training settings, a training loss that goes non-finite)
 * 66 missing input file
 * 73 refusing to (over)write the output directory
 * 74 I/O or checkpoint error (including vocabulary-hash mismatch)
@@ -33,7 +34,7 @@ from .stats import (
     pairs_from_reports,
     wilcoxon_signed_rank,
 )
-from .training import TrainConfig, train, write_loss_csv
+from .training import TrainConfig, TrainingError, train, write_loss_csv
 from .version import __version__
 
 EXIT_OK = 0
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"kgbench: {exc}", file=sys.stderr)
         return EXIT_IOERR
-    except (DatasetError, DegenerateSampleError, ValueError) as exc:
+    except (DatasetError, DegenerateSampleError, TrainingError, ValueError) as exc:
         print(f"kgbench: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

@@ -104,25 +104,76 @@ def init_params(kind: str, n_entities: int, n_relations: int, dim: int,
     return ModelParams(kind, dim, entities, relations)
 
 
-def score(params: ModelParams, h: int, r: int, t: int) -> float:
-    """Plausibility score of one triple; deterministic, higher is better."""
-    params.check_ids(h, r, t)
-    eh = params.entities[h]
-    et = params.entities[t]
-    rel = params.relations[r]
+def _id_arrays(params: ModelParams, h, r, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``h``, ``r`` and ``t`` as equal-length 1-d id arrays, range-checked."""
+    h, r, t = (np.atleast_1d(np.asarray(x)) for x in (h, r, t))
+    if h.ndim != 1 or not h.shape == r.shape == t.shape:
+        raise ValueError("h, r and t must be ints or equal-length 1-d id arrays")
+    for ids, n, what in ((h, params.n_entities, "entity"), (r, params.n_relations, "relation"),
+                         (t, params.n_entities, "entity")):
+        if ids.dtype.kind not in "iu":
+            raise TypeError(f"{what} ids must be integers, not {ids.dtype}")
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            bad = ids[(ids < 0) | (ids >= n)][0]
+            raise IndexError(f"{what} id {bad} out of range [0, {n})")
+    return h, r, t
+
+
+def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable sort order of ``ids`` and where each run of equal ids starts in it."""
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    return order, starts[:ordered.size]  # no run at all when ids is empty
+
+
+def _reduce_rows(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the rows that share an id; returns sorted unique ids and their sums."""
+    order, starts = _runs(ids)
+    return ids[order][starts], np.add.reduceat(rows[order], starts, axis=0)
+
+
+def _relation_blocks(r: np.ndarray) -> tuple[np.ndarray, list[tuple[int, slice]]]:
+    """A stable order sorting ``r``, and ``(relation id, slice of that order)`` per distinct id."""
+    order, starts = _runs(r)
+    bounds = starts.tolist() + [r.size]
+    return order, [(rel, slice(a, b)) for rel, a, b
+                   in zip(r[order[starts]].tolist(), bounds, bounds[1:])]
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a * b).sum(axis=1)
+
+
+def score(params: ModelParams, h, r, t) -> float | np.ndarray:
+    """Plausibility score; deterministic, higher is better.
+
+    With int ids, the score of one triple as a float. With equal-length int
+    arrays, a float64 array holding the score of each ``(h[i], r[i], t[i])``.
+    """
+    scalar = np.ndim(h) == np.ndim(r) == np.ndim(t) == 0
+    h, r, t = _id_arrays(params, h, r, t)
+    E, R = params.entities, params.relations
     kind = params.kind
+    if kind == "rescal":  # one matmul per relation: no (m, d, d) gather
+        order, blocks = _relation_blocks(r)
+        eh, et = E[h[order]], E[t[order]]
+        out = np.empty(h.shape)
+        for rel, block in blocks:
+            out[order[block]] = _rowdot(eh[block] @ R[rel], et[block])
+        return float(out[0]) if scalar else out
+    eh, rel, et = E[h], R[r], E[t]
     if kind == "distmult":
-        return float(np.dot(eh * rel, et))
-    if kind == "transe":
-        return -float(np.linalg.norm(eh + rel - et))
-    if kind == "rescal":
-        return float(eh @ rel @ et)
-    # complex
-    d = params.dim
-    hre, him = eh[:d], eh[d:]
-    rre, rim = rel[:d], rel[d:]
-    tre, tim = et[:d], et[d:]
-    return float(np.dot(hre * rre - him * rim, tre) + np.dot(hre * rim + him * rre, tim))
+        out = _rowdot(eh * rel, et)
+    elif kind == "transe":
+        out = -np.linalg.norm(eh + rel - et, axis=1)
+    else:  # complex
+        d = params.dim
+        hre, him = eh[:, :d], eh[:, d:]
+        rre, rim = rel[:, :d], rel[:, d:]
+        tre, tim = et[:, :d], et[:, d:]
+        out = _rowdot(hre * rre - him * rim, tre) + _rowdot(hre * rim + him * rre, tim)
+    return float(out[0]) if scalar else out
 
 
 def score_all_tails(params: ModelParams, h: int, r: int) -> np.ndarray:
@@ -188,60 +239,76 @@ def score_all_relations(params: ModelParams, h: int, t: int) -> np.ndarray:
     return R[:, :d] @ u + R[:, d:] @ v
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SparseGrad:
-    """Gradient w.r.t. only the parameter rows a triple touches."""
+    """Gradient rows for only the parameter rows a batch touches.
 
-    entities: dict[int, np.ndarray]
-    relations: dict[int, np.ndarray]
-
-
-def grad(params: ModelParams, h: int, r: int, t: int,
-         upstream: float = 1.0) -> SparseGrad:
-    """Analytic d(upstream * score)/d(row) for the three touched rows.
-
-    When h == t the two entity contributions are summed into one entry.
-    TransE's gradient at the singular zero-distance point is defined as 0
-    (measure-zero, avoids NaNs).
+    Ids are sorted and unique; ``entity_rows[i]`` is the gradient of entity
+    row ``entity_ids[i]``, and likewise for relations.
     """
-    params.check_ids(h, r, t)
-    eh = params.entities[h]
-    et = params.entities[t]
-    rel = params.relations[r]
+
+    entity_ids: np.ndarray
+    entity_rows: np.ndarray
+    relation_ids: np.ndarray
+    relation_rows: np.ndarray
+
+    @property
+    def entities(self) -> dict[int, np.ndarray]:
+        """``{entity id: gradient row}``."""
+        return dict(zip(self.entity_ids.tolist(), self.entity_rows))
+
+    @property
+    def relations(self) -> dict[int, np.ndarray]:
+        """``{relation id: gradient row}``."""
+        return dict(zip(self.relation_ids.tolist(), self.relation_rows))
+
+
+def grad(params: ModelParams, h, r, t, upstream=1.0) -> SparseGrad:
+    """Analytic gradient of ``sum_i upstream_i * score(h_i, r_i, t_i)``.
+
+    Takes ints or equal-length int arrays, and a float or one float per
+    triple as ``upstream``. Every row a triple touches gets an entry, even
+    where its gradient is zero; rows sharing an id (a repeated id, or
+    h == t) are summed into one. TransE's gradient at the singular
+    zero-distance point is defined as 0 (measure-zero, avoids NaNs).
+    """
+    h, r, t = _id_arrays(params, h, r, t)
+    u = np.broadcast_to(np.asarray(upstream, dtype=np.float64), h.shape)[:, None]
+    E, R = params.entities, params.relations
     kind = params.kind
-    if kind == "distmult":
-        gh = rel * et
-        gr = eh * et
-        gt = eh * rel
-    elif kind == "transe":
-        delta = eh + rel - et
-        nrm = float(np.linalg.norm(delta))
-        if nrm == 0.0:
-            unit = np.zeros_like(delta)
-        else:
-            unit = delta / nrm
-        gh = -unit
-        gr = -unit
-        gt = unit
-    elif kind == "rescal":
-        gh = rel @ et
-        gr = np.outer(eh, et)
-        gt = rel.T @ eh
-    else:  # complex
-        d = params.dim
-        hre, him = eh[:d], eh[d:]
-        rre, rim = rel[:d], rel[d:]
-        tre, tim = et[:d], et[d:]
-        gh = np.concatenate([rre * tre + rim * tim, rre * tim - rim * tre])
-        gr = np.concatenate([hre * tre + him * tim, hre * tim - him * tre])
-        gt = np.concatenate([hre * rre - him * rim, hre * rim + him * rre])
-    entities: dict[int, np.ndarray] = {}
-    if h == t:
-        entities[h] = upstream * (gh + gt)
+    if kind == "rescal":  # one matmul per relation: no (m, d, d) gather
+        order, blocks = _relation_blocks(r)
+        h, t, u = h[order], t[order], u[order]  # rows are reduced by id below
+        eh, et = E[h], E[t]
+        gh, gt = np.empty_like(eh), np.empty_like(et)
+        relation_ids = np.array([rel for rel, _ in blocks], dtype=np.int64)
+        relation_rows = np.empty((len(blocks),) + R.shape[1:])
+        for i, (rel, block) in enumerate(blocks):
+            gh[block] = et[block] @ R[rel].T
+            gt[block] = eh[block] @ R[rel]
+            relation_rows[i] = (u[block] * eh[block]).T @ et[block]
     else:
-        entities[h] = upstream * gh
-        entities[t] = upstream * gt
-    return SparseGrad(entities=entities, relations={r: upstream * gr})
+        eh, et = E[h], E[t]
+        rel = R[r]
+        if kind == "distmult":
+            gh, gr, gt = rel * et, eh * et, eh * rel
+        elif kind == "transe":
+            delta = eh + rel - et
+            nrm = np.linalg.norm(delta, axis=1, keepdims=True)
+            unit = np.divide(delta, nrm, out=np.zeros_like(delta), where=nrm != 0.0)
+            gh, gr, gt = -unit, -unit, unit
+        else:  # complex
+            d = params.dim
+            hre, him = eh[:, :d], eh[:, d:]
+            rre, rim = rel[:, :d], rel[:, d:]
+            tre, tim = et[:, :d], et[:, d:]
+            gh = np.concatenate([rre * tre + rim * tim, rre * tim - rim * tre], axis=1)
+            gr = np.concatenate([hre * tre + him * tim, hre * tim - him * tre], axis=1)
+            gt = np.concatenate([hre * rre - him * rim, hre * rim + him * rre], axis=1)
+        relation_ids, relation_rows = _reduce_rows(r, u * gr)
+    entity_ids, entity_rows = _reduce_rows(np.concatenate([h, t]),
+                                           np.concatenate([u * gh, u * gt]))
+    return SparseGrad(entity_ids, entity_rows, relation_ids, relation_rows)
 
 
 def save_checkpoint(params: ModelParams, path: Path, vocab,

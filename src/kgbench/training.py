@@ -11,6 +11,7 @@ benchmark scale, but it does shift absolute loss values).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Triple, Vocabulary, SplitDataset, split_vocab
+from .core import Triple, Vocabulary, SplitDataset
 from .models import ModelParams, SparseGrad, grad, init_params, score
 
 ADAM_BETA1 = 0.9
@@ -57,7 +58,7 @@ class TrainConfig:
             raise ValueError("lr must be > 0")
         if self.loss not in (None, "logistic", "margin"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.loss == "margin" and self.margin <= 0:
+        if self.resolved_loss() == "margin" and self.margin <= 0:
             raise ValueError("margin must be > 0 for the margin loss")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
@@ -120,36 +121,26 @@ def augment_reciprocal(train: Sequence[Triple], vocab: Vocabulary
     return augmented, extended
 
 
-def sample_negatives(triple: Triple, k: int, entity_pool: np.ndarray,
-                     rng: np.random.Generator) -> list[Triple]:
-    """k corruptions of one triple: fair coin on head/tail, uniform train entity.
+def sample_negatives(triples: np.ndarray, k: int, entity_pool: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """k corruptions of each row of a (b, 3) id array, as a (b*k, 3) array.
 
-    Negatives may coincide with true triples; nothing is filtered here.
+    Row ``i*k + j`` corrupts triple ``i``: a fair coin picks the head or the
+    tail, and a uniform draw from ``entity_pool`` replaces it. The coins of
+    the whole batch are drawn before its entities. Negatives may coincide
+    with true triples; nothing is filtered here.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = []
-    for _ in range(k):
-        side = int(rng.integers(0, 2))
-        e = int(entity_pool[int(rng.integers(0, len(entity_pool)))])
-        if side == 0:
-            out.append(Triple(e, triple.r, triple.t))
-        else:
-            out.append(Triple(triple.h, triple.r, e))
+    triples = np.asarray(triples, dtype=np.int64)
+    if triples.ndim != 2 or triples.shape[1] != 3:
+        raise ValueError(f"triples must be a (b, 3) id array, got shape {triples.shape}")
+    b = len(triples)
+    sides = rng.integers(0, 2, (b, k))
+    entities = entity_pool[rng.integers(0, len(entity_pool), (b, k))]
+    out = np.repeat(triples, k, axis=0)
+    out[np.arange(b * k), 2 * sides.ravel()] = entities.ravel()  # column 0 or 2
     return out
-
-
-def _sigmoid(x: float) -> float:
-    return 0.5 * (1.0 + math.tanh(0.5 * x))
-
-
-def _softplus(x: float) -> float:
-    # log(1 + e^x), stable for large |x|
-    if x > 30:
-        return x
-    if x < -30:
-        return math.exp(x)
-    return math.log1p(math.exp(x))
 
 
 class _Sgd:
@@ -158,10 +149,8 @@ class _Sgd:
         self.lr = lr
 
     def step(self, g: SparseGrad) -> None:
-        for eid, vec in g.entities.items():
-            self.params.entities[eid] -= self.lr * vec
-        for rid, vec in g.relations.items():
-            self.params.relations[rid] -= self.lr * vec
+        self.params.entities[g.entity_ids] -= self.lr * g.entity_rows
+        self.params.relations[g.relation_ids] -= self.lr * g.relation_rows
 
 
 class _Adam:
@@ -180,27 +169,42 @@ class _Adam:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for table, m, v, rows in (
-            (self.params.entities, self.m_e, self.v_e, g.entities),
-            (self.params.relations, self.m_r, self.v_r, g.relations),
+        for table, m, v, ids, rows in (
+            (self.params.entities, self.m_e, self.v_e, g.entity_ids, g.entity_rows),
+            (self.params.relations, self.m_r, self.v_r, g.relation_ids, g.relation_rows),
         ):
-            for rid, vec in rows.items():
-                m[rid] = ADAM_BETA1 * m[rid] + (1.0 - ADAM_BETA1) * vec
-                v[rid] = ADAM_BETA2 * v[rid] + (1.0 - ADAM_BETA2) * vec * vec
-                table[rid] -= self.lr * (m[rid] / bc1) / (np.sqrt(v[rid] / bc2) + ADAM_EPS)
+            m_ids = ADAM_BETA1 * m[ids] + (1.0 - ADAM_BETA1) * rows
+            v_ids = ADAM_BETA2 * v[ids] + (1.0 - ADAM_BETA2) * rows * rows
+            m[ids] = m_ids
+            v[ids] = v_ids
+            table[ids] -= self.lr * (m_ids / bc1) / (np.sqrt(v_ids / bc2) + ADAM_EPS)
 
 
-def _accumulate(acc: SparseGrad, g: SparseGrad) -> None:
-    for eid, vec in g.entities.items():
-        if eid in acc.entities:
-            acc.entities[eid] += vec
-        else:
-            acc.entities[eid] = vec.copy()
-    for rid, vec in g.relations.items():
-        if rid in acc.relations:
-            acc.relations[rid] += vec
-        else:
-            acc.relations[rid] = vec.copy()
+def _batch_loss(loss_kind: str, margin: float, pos: np.ndarray, neg: np.ndarray,
+                s_pos: np.ndarray, s_neg: np.ndarray
+                ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean loss of one batch, the triples that contribute gradient rows, and
+    d(loss)/d(score) for each of them.
+
+    ``neg`` holds k corruptions per positive, as :func:`sample_negatives`
+    lays them out. Under the logistic loss every triple contributes; under
+    the margin loss only the pairs inside the margin do, so a batch with
+    no such pair contributes no triple.
+    """
+    b = len(pos)
+    k = len(neg) // b
+    if loss_kind == "logistic":
+        loss = float(np.logaddexp(0.0, -s_pos).sum() + np.logaddexp(0.0, s_neg).sum() / k) / b
+        # d softplus(x)/dx = sigmoid(x) = (1 + tanh(x/2)) / 2
+        upstream = np.concatenate([-0.5 * (1.0 + np.tanh(-0.5 * s_pos)) / b,
+                                   0.5 * (1.0 + np.tanh(0.5 * s_neg)) / (k * b)])
+        return loss, np.concatenate([pos, neg]), upstream
+    gap = margin - np.repeat(s_pos, k) + s_neg
+    active = gap > 0.0
+    loss = float(gap[active].sum()) / k / b
+    n_active = int(active.sum())
+    upstream = np.repeat([-1.0 / (k * b), 1.0 / (k * b)], n_active)
+    return loss, np.concatenate([np.repeat(pos, k, axis=0)[active], neg[active]]), upstream
 
 
 @dataclass(frozen=True)
@@ -216,8 +220,11 @@ class TrainResult:
 def train(dataset: SplitDataset, config: TrainConfig) -> TrainResult:
     """Minimize the configured loss over the train split.
 
-    Deterministic for a fixed config and seed: init, batch shuffles and
-    negative draws all flow from ``config.seed``. Raises
+    Each minibatch is one step: its negatives are drawn in one call, every
+    score and gradient of the batch uses the parameters from the start of
+    the batch, and one optimizer step updates the rows its contributing
+    triples touch. Deterministic for a fixed config and seed: init, batch
+    shuffles and negative draws all flow from ``config.seed``. Raises
     :class:`TrainingError` naming the batch if the loss goes non-finite.
     """
     vocab = dataset.vocab
@@ -231,13 +238,14 @@ def train(dataset: SplitDataset, config: TrainConfig) -> TrainResult:
     params = init_params(config.model, vocab.n_entities, train_vocab.n_relations,
                          config.dim, config.seed)
     rng = np.random.default_rng((config.seed, 1))
-    train_ents, _ = split_vocab(dataset.train)
-    entity_pool = np.array(sorted(train_ents), dtype=np.int64)
+    rows = np.fromiter(itertools.chain.from_iterable(triples), dtype=np.int64,
+                       count=3 * len(triples)).reshape(-1, 3)
+    entity_pool = np.unique(rows[:, [0, 2]])  # reciprocal rows only swap h and t
 
     loss_kind = config.resolved_loss()
     optimizer = _Adam(params, config.lr) if config.optimizer == "adam" else _Sgd(params, config.lr)
     k = config.negatives
-    n = len(triples)
+    n = len(rows)
     order_src = np.arange(n)
     epoch_losses: list[float] = []
     n_updates = 0
@@ -246,35 +254,18 @@ def train(dataset: SplitDataset, config: TrainConfig) -> TrainResult:
         order = rng.permutation(order_src)
         epoch_loss = 0.0
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
-            batch = [triples[i] for i in order[start:start + config.batch_size]]
-            b = len(batch)
-            acc = SparseGrad(entities={}, relations={})
-            batch_loss = 0.0
-            for pos in batch:
-                negs = sample_negatives(pos, k, entity_pool, rng)
-                s_pos = score(params, *pos)
-                if loss_kind == "logistic":
-                    batch_loss += _softplus(-s_pos)
-                    _accumulate(acc, grad(params, *pos, upstream=-_sigmoid(-s_pos) / b))
-                    for neg in negs:
-                        s_neg = score(params, *neg)
-                        batch_loss += _softplus(s_neg) / k
-                        _accumulate(acc, grad(params, *neg, upstream=_sigmoid(s_neg) / (k * b)))
-                else:  # margin ranking
-                    for neg in negs:
-                        s_neg = score(params, *neg)
-                        m = config.margin - s_pos + s_neg
-                        if m > 0.0:
-                            batch_loss += m / k
-                            _accumulate(acc, grad(params, *pos, upstream=-1.0 / (k * b)))
-                            _accumulate(acc, grad(params, *neg, upstream=1.0 / (k * b)))
-            batch_loss /= b
+            pos = rows[order[start:start + config.batch_size]]
+            b = len(pos)
+            neg = sample_negatives(pos, k, entity_pool, rng)
+            s = score(params, *np.concatenate([pos, neg]).T)
+            batch_loss, contributing, upstream = _batch_loss(loss_kind, config.margin,
+                                                             pos, neg, s[:b], s[b:])
             if not math.isfinite(batch_loss):
                 raise TrainingError(
                     f"non-finite loss in epoch {epoch + 1}, batch {batch_no + 1}; "
                     f"try a smaller learning rate"
                 )
-            optimizer.step(acc)
+            optimizer.step(grad(params, *contributing.T, upstream))
             n_updates += 1
             epoch_loss += batch_loss * b
         epoch_losses.append(epoch_loss / n)

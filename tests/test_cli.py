@@ -140,6 +140,24 @@ def test_train_eval_pipeline(clean_dir, tmp_path, capsys):
     assert payload["policy"] == "include" and payload["direction"] == "entity"
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_train_non_finite_loss_exit_65(oov_dir, tmp_path, capsys):
+    code = main(["train", "--data", str(oov_dir), "--model", "rescal", "--dim", "4",
+                 "--epochs", "5", "--batch-size", "2", "--lr", "1e160", "--optimizer", "sgd",
+                 "--loss", "logistic", "--out", str(tmp_path / "m.npz")])
+    assert code == 65
+    assert "non-finite loss in epoch" in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()
+
+
+def test_train_transe_default_loss_refuses_zero_margin_exit_65(clean_dir, tmp_path, capsys):
+    code = main(["train", "--data", str(clean_dir), "--model", "transe", "--margin", "0",
+                 "--out", str(tmp_path / "m.npz")])
+    assert code == 65
+    assert "margin must be > 0" in capsys.readouterr().err
+
+
 def test_eval_vocab_mismatch_exit_74(clean_dir, oov_dir, tmp_path, capsys):
     ckpt = tmp_path / "model.npz"
     assert _train(clean_dir, ckpt, tmp_path) == 0

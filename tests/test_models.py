@@ -74,6 +74,68 @@ def test_score_all_matches_scalar_path(kind):
             assert abs(rels[x] - s) < 1e-6 * (1 + abs(s))
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_score_on_arrays_equals_scalar_score(kind):
+    rng = np.random.default_rng(5)
+    p = init_params(kind, 9, 3, 6, seed=5)
+    h, r, t = rng.integers(9, size=60), rng.integers(3, size=60), rng.integers(9, size=60)
+    batch = score(p, h, r, t)
+    assert batch.dtype == np.float64 and batch.shape == (60,)
+    scalars = [score(p, a, b, c) for a, b, c in zip(h.tolist(), r.tolist(), t.tolist())]
+    assert all(type(x) is float for x in scalars)
+    # BLAS may sum RESCAL's one-row matmul in another order than a many-row one
+    np.testing.assert_allclose(batch, scalars, rtol=1e-12, atol=1e-15)
+
+
+def _per_triple_terms(p, h, r, t, upstream):
+    """{id: [gradient row of each triple touching it]} from one grad call per triple."""
+    entities, relations = {}, {}
+    for a, b, c, u in zip(h.tolist(), r.tolist(), t.tolist(), upstream.tolist()):
+        g = grad(p, a, b, c, upstream=u)
+        for terms, rows in ((entities, g.entities), (relations, g.relations)):
+            for rid, vec in rows.items():
+                terms.setdefault(rid, []).append(vec)
+    return entities, relations
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_batched_grad_equals_sum_of_per_triple_grads(kind):
+    rng = np.random.default_rng(23)
+    p = init_params(kind, 7, 3, 4, seed=23)
+    p.entities[:] = rng.normal(scale=0.5, size=p.entities.shape)
+    p.relations[:] = rng.normal(scale=0.5, size=p.relations.shape)
+    h, r, t = rng.integers(7, size=40), rng.integers(3, size=40), rng.integers(7, size=40)
+    h[:5] = t[:5]  # reflexive triples
+    upstream = rng.normal(size=41)
+    upstream[30:33] = 0.0  # rows still touched, with a zero gradient
+    # a negative equal to its positive, with the opposite upstream
+    h, r, t = np.append(h, h[10]), np.append(r, r[10]), np.append(t, t[10])
+    upstream[40] = -upstream[10]
+    g = grad(p, h, r, t, upstream)
+    ent_terms, rel_terms = _per_triple_terms(p, h, r, t, upstream)
+    assert g.entity_ids.tolist() == sorted(set(h.tolist()) | set(t.tolist()))
+    assert g.relation_ids.tolist() == sorted(set(r.tolist()))
+    for ids, rows, terms in ((g.entity_ids, g.entity_rows, ent_terms),
+                             (g.relation_ids, g.relation_rows, rel_terms)):
+        assert ids.tolist() == sorted(terms) and len(rows) == len(ids)
+        for rid, row in zip(ids.tolist(), rows):
+            stacked = np.array(terms[rid])
+            assert np.all(np.abs(row - stacked.sum(axis=0))
+                          <= 1e-12 * np.abs(stacked).sum(axis=0))
+    assert g.entities.keys() == set(g.entity_ids.tolist())
+    assert g.relations.keys() == set(g.relation_ids.tolist())
+
+
+def test_grad_of_no_triples_is_empty():
+    for kind in MODEL_KINDS:
+        p = init_params(kind, 4, 2, 3, seed=0)
+        none = np.zeros(0, dtype=np.int64)
+        g = grad(p, none, none, none, np.zeros(0))
+        assert g.entity_ids.size == 0 and g.relation_ids.size == 0
+        assert g.entity_rows.shape == (0,) + p.entities.shape[1:]
+        assert g.relation_rows.shape == (0,) + p.relations.shape[1:]
+
+
 def test_score_all_single_entity():
     p = init_params("distmult", 1, 1, 3, seed=0)
     v = score_all_tails(p, 0, 0)
@@ -269,3 +331,10 @@ def test_score_rejects_out_of_range_ids():
         score(p, 0, 2, 0)
     with pytest.raises(IndexError):
         score_all_tails(p, 0, 5)
+    ids = np.array([0, 1])
+    with pytest.raises(IndexError):
+        score(p, ids, ids, np.array([0, 3]))
+    with pytest.raises(IndexError):
+        grad(p, ids, np.array([0, -1]), ids)
+    with pytest.raises(ValueError, match="equal-length"):
+        score(p, ids, ids, np.array([0]))

@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 
 from kgbench import Triple, augment_reciprocal, build_vocabulary, sample_negatives
-from kgbench.models import init_params
-from kgbench.training import TrainConfig, TrainingError, train, write_loss_csv
+from kgbench.models import grad, init_params
+from kgbench.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    TrainConfig,
+    TrainingError,
+    _Adam,
+    _batch_loss,
+    _Sgd,
+    train,
+    write_loss_csv,
+)
 
 from conftest import make_dataset, random_kg
 
@@ -33,46 +44,119 @@ def test_augment_reciprocal_rejects_label_collision():
 def test_sample_negatives_degenerate_pool():
     pool = np.array([3])
     rng = np.random.default_rng(0)
-    negs = sample_negatives(Triple(3, 0, 3), 5, pool, rng)
-    assert negs == [Triple(3, 0, 3)] * 5
+    negs = sample_negatives(np.array([[3, 0, 3]]), 5, pool, rng)
+    assert negs.tolist() == [[3, 0, 3]] * 5
 
 
 def test_sample_negatives_deterministic_under_seed():
     pool = np.arange(10)
-    a = sample_negatives(Triple(0, 0, 1), 8, pool, np.random.default_rng(99))
-    b = sample_negatives(Triple(0, 0, 1), 8, pool, np.random.default_rng(99))
-    assert a == b
+    batch = np.array([[0, 0, 1], [2, 1, 3]])
+    a = sample_negatives(batch, 8, pool, np.random.default_rng(99))
+    b = sample_negatives(batch, 8, pool, np.random.default_rng(99))
+    assert a.shape == (16, 3)
+    assert np.array_equal(a, b)
 
 
 def test_sample_negatives_only_replaces_one_side_from_pool():
-    # pool disjoint from the positive's entities, so the corrupted side is
-    # unambiguous
+    # pool disjoint from the positives' entities, so the corrupted side is
+    # unambiguous; row i*k + j corrupts triple i
     pool = np.array([5, 6, 7])
     rng = np.random.default_rng(1)
-    sides = set()
-    for neg in sample_negatives(Triple(0, 3, 1), 50, pool, rng):
-        assert neg.r == 3
-        changed_head = neg.h != 0
-        changed_tail = neg.t != 1
-        assert changed_head != changed_tail
-        sides.add("h" if changed_head else "t")
-        assert (neg.h if changed_head else neg.t) in pool
-    assert sides == {"h", "t"}
+    batch = np.array([[0, 3, 1], [2, 4, 3]])
+    negs = sample_negatives(batch, 50, pool, rng)
+    assert negs.shape == (100, 3)
+    for i, (h, r, t) in enumerate(batch.tolist()):
+        sides = set()
+        for neg_h, neg_r, neg_t in negs[i * 50:(i + 1) * 50].tolist():
+            assert neg_r == r
+            changed_head = neg_h != h
+            changed_tail = neg_t != t
+            assert changed_head != changed_tail
+            sides.add("h" if changed_head else "t")
+            assert (neg_h if changed_head else neg_t) in pool
+        assert sides == {"h", "t"}
 
 
 def test_sample_negatives_uniform_frequency():
     pool = np.arange(100)
     rng = np.random.default_rng(2024)
-    counts = np.zeros(100)
     n = 10_000
-    for neg in sample_negatives(Triple(500, 0, 501), n, pool, rng):
-        sampled = neg.h if neg.h != 500 else neg.t
-        counts[sampled] += 1
-    assert counts.sum() == n
+    negs = sample_negatives(np.array([[500, 0, 501]]), n, pool, rng)
+    sampled = np.where(negs[:, 0] != 500, negs[:, 0], negs[:, 2])
+    counts = np.bincount(sampled, minlength=100)
+    assert counts.sum() == n and len(counts) == 100
     expected = n / 100
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     # chi-square with 99 dof: mean 99, SD ~14; 160 is beyond 4 sigma
     assert chi2 < 160, f"negative sampling frequencies look non-uniform (chi2={chi2:.1f})"
+
+
+def _per_row_step(params, moments, t, g, lr):
+    """The optimizers as one Python update per gradient row (``moments`` None: SGD)."""
+    for name, table, rows in (("e", params.entities, g.entities),
+                              ("r", params.relations, g.relations)):
+        for rid, vec in rows.items():
+            if moments is None:
+                table[rid] -= lr * vec
+                continue
+            m, v = moments[name]
+            m[rid] = ADAM_BETA1 * m[rid] + (1.0 - ADAM_BETA1) * vec
+            v[rid] = ADAM_BETA2 * v[rid] + (1.0 - ADAM_BETA2) * vec * vec
+            bc1, bc2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+            table[rid] -= lr * (m[rid] / bc1) / (np.sqrt(v[rid] / bc2) + ADAM_EPS)
+
+
+@pytest.mark.parametrize("kind", ["distmult", "rescal"])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_optimizer_step_equals_per_row_loop(kind, optimizer):
+    rng = np.random.default_rng(8)
+    params = init_params(kind, 10, 3, 4, seed=8)
+    reference = params.copy()
+    opt = (_Adam if optimizer == "adam" else _Sgd)(params, 0.05)
+    moments = None if optimizer == "sgd" else {
+        "e": (np.zeros_like(params.entities), np.zeros_like(params.entities)),
+        "r": (np.zeros_like(params.relations), np.zeros_like(params.relations)),
+    }
+    for step in (1, 2, 3):
+        h, r, t = rng.integers(10, size=12), rng.integers(3, size=12), rng.integers(10, size=12)
+        g = grad(params, h, r, t, rng.normal(size=12))
+        opt.step(g)
+        _per_row_step(reference, moments, step, g, 0.05)
+        assert np.array_equal(params.entities, reference.entities)
+        assert np.array_equal(params.relations, reference.relations)
+
+
+def test_margin_batch_loss_keeps_only_pairs_inside_the_margin():
+    pos = np.array([[0, 0, 1], [2, 1, 3]])
+    neg = np.array([[0, 0, 2], [3, 0, 1], [2, 1, 0], [1, 1, 3]])  # k = 2
+    loss, contributing, upstream = _batch_loss(
+        "margin", 1.0, pos, neg, np.array([5.0, 4.0]), np.array([4.5, 2.0, 2.0, 3.5]))
+    assert loss == pytest.approx((0.5 + 0.5) / 2 / 2)
+    assert contributing.tolist() == [[0, 0, 1], [2, 1, 3], [0, 0, 2], [1, 1, 3]]
+    assert upstream.tolist() == [-0.25, -0.25, 0.25, 0.25]
+
+
+def test_margin_batch_without_active_pair_moves_no_row_and_advances_adam():
+    pos = np.array([[0, 0, 1], [2, 1, 3]])
+    neg = np.array([[0, 0, 2], [3, 0, 1], [2, 1, 0], [1, 1, 3]])
+    loss, contributing, upstream = _batch_loss(
+        "margin", 1.0, pos, neg, np.array([5.0, 4.0]), np.full(4, 2.0))
+    assert loss == 0.0 and contributing.shape == (0, 3) and upstream.shape == (0,)
+    params = init_params("distmult", 4, 2, 3, seed=0)
+    reference = params.copy()
+    adam = _Adam(params, 0.1)
+    adam.step(grad(params, *contributing.T, upstream))
+    assert adam.t == 1
+    assert np.array_equal(params.entities, reference.entities)
+    assert np.array_equal(params.relations, reference.relations)
+    # the next step's bias correction is that of step 2
+    g = grad(params, *pos.T, np.array([1.0, -2.0]))
+    adam.step(g)
+    moments = {"e": (np.zeros_like(params.entities), np.zeros_like(params.entities)),
+               "r": (np.zeros_like(params.relations), np.zeros_like(params.relations))}
+    _per_row_step(reference, moments, 2, g, 0.1)
+    assert np.array_equal(params.entities, reference.entities)
+    assert np.array_equal(params.relations, reference.relations)
 
 
 def _toy_train_dataset(seed=0, n_entities=12, n_train=24):
@@ -170,6 +254,14 @@ def test_train_aborts_on_non_finite_loss():
                          lr=1e160, optimizer="sgd", loss="logistic", seed=0)
     with pytest.raises(TrainingError, match="batch"):
         train(ds, config)
+
+
+def test_margin_is_validated_for_the_resolved_loss():
+    with pytest.raises(ValueError, match="margin"):
+        TrainConfig(model="transe", margin=-1.0)  # margin loss by default
+    with pytest.raises(ValueError, match="margin"):
+        TrainConfig(model="distmult", loss="margin", margin=0.0)
+    assert TrainConfig(model="transe", loss="logistic", margin=-1.0).margin == -1.0
 
 
 def test_default_loss_depends_on_model():
