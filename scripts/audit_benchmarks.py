@@ -19,14 +19,7 @@ from pathlib import Path
 
 from kgbench import load_dataset, overview_report
 from kgbench.ingest import DatasetLayout
-from kgbench.reporting import (
-    compare_to_reference,
-    dump_json,
-    match_reference,
-    oov_markdown,
-    overview_markdown,
-    reference_markdown,
-)
+from kgbench.reporting import audit_markdown, dump_json
 
 
 def audit_one(data_dir: Path, out_dir: Path) -> bool:
@@ -34,14 +27,9 @@ def audit_one(data_dir: Path, out_dir: Path) -> bool:
     dataset = load_dataset(DatasetLayout(dir=data_dir))
     report = overview_report(dataset)
     elapsed = time.perf_counter() - t0
-    md = overview_markdown(report, title=f"Dataset overview: {data_dir.name}")
-    md += "\n" + oov_markdown(report)
-    name = match_reference(report)
+    md = audit_markdown(report, title=f"Dataset overview: {data_dir.name}")
+    name = report.get("reference", {}).get("dataset")
     clean = report["containment"]["entities_ok"] and report["containment"]["relations_ok"]
-    if name is not None:
-        rows = compare_to_reference(report, name)
-        report["reference"] = {"dataset": name, "rows": rows}
-        md += "\n" + reference_markdown(name, rows)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_json(report, out_dir / f"{data_dir.name}.json")
     (out_dir / f"{data_dir.name}.md").write_text(md, encoding="utf-8")

@@ -22,7 +22,7 @@ from kgbench.ingest import DatasetLayout
 from kgbench.models import MODEL_KINDS
 from kgbench.reporting import oov_markdown
 from kgbench.audit import overview_report
-from kgbench.stats import PairedSample, compare_pairs
+from kgbench.stats import compare_reports
 from kgbench.training import TrainConfig, train
 
 
@@ -74,7 +74,7 @@ def main() -> int:
     print(f"corrected copy written to {work / 'corrected'}\n")
 
     print(f"{'model':<10} {'policy':<8} {'MRR':>6} {'H@1':>6} {'H@3':>6} {'H@10':>6}")
-    samples = []
+    reports: dict[str, dict] = {"include": {}, "exclude": {}}
     for kind in MODEL_KINDS:
         config = TrainConfig(model=kind, dim=args.dim, epochs=args.epochs,
                              batch_size=32, lr=0.05, negatives=4,
@@ -82,23 +82,17 @@ def main() -> int:
         t0 = time.perf_counter()
         result = train(dataset, config)
         elapsed = time.perf_counter() - t0
-        reports = {}
-        for policy in ("include", "exclude"):
-            r = reports[policy] = evaluate(result.params, dataset, split="test",
-                                           policy=policy)
+        for policy, by_kind in reports.items():
+            r = by_kind[kind] = evaluate(result.params, dataset, split="test", policy=policy)
             print(f"{kind:<10} {policy:<8} {r.mrr:>6.3f} {r.hits[1]:>6.3f} "
                   f"{r.hits[3]:>6.3f} {r.hits[10]:>6.3f}")
         print(f"{'':<10} (trained {config.epochs} epochs in {elapsed:.1f}s, "
               f"final loss {result.epoch_losses[-1]:.4f})")
-        inc, exc = reports["include"], reports["exclude"]
-        samples.append(PairedSample(f"{kind}:mrr", inc.mrr, exc.mrr))
-        for n in (1, 3, 10):
-            samples.append(PairedSample(f"{kind}:hits@{n}", inc.hits[n], exc.hits[n]))
 
     print()
-    comparison = compare_pairs(samples)
+    comparison = compare_reports(reports["include"], reports["exclude"])
     test_result = comparison.test
-    print(f"Wilcoxon signed-rank over {len(samples)} (include, exclude) pairs: "
+    print(f"Wilcoxon signed-rank over {len(comparison.samples)} (include, exclude) pairs: "
           f"W={test_result.statistic} p={test_result.p_value:.3g} "
           f"[{test_result.method}]")
     print(f"mean |delta| = {comparison.summary['mean_abs_delta']:.4f} "

@@ -8,13 +8,11 @@ measure learned behaviour.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import SplitDataset, Triple, split_vocab
+from .core import SplitDataset, Triple, as_triples, split_vocab
 
 EVAL_SPLITS = ("valid", "test")
 
@@ -66,24 +64,20 @@ class OovReport:
 
 
 def _detect_split(dataset: SplitDataset, name: str,
-                  train_ents: set[int], train_rels: set[int]) -> SplitOov:
+                  known_ents: np.ndarray, known_rels: np.ndarray) -> SplitOov:
+    """``known_ents``/``known_rels`` mask the ids that occur in the train split."""
     split = dataset.split(name)
     ents, rels = split_vocab(split)
-    oov_ents = frozenset(ents - train_ents)
-    oov_rels = frozenset(rels - train_rels)
-    affected = []
-    for tr, line_no in zip(split, dataset.line_numbers[name]):
-        fields = []
-        if tr.h in oov_ents:
-            fields.append("h")
-        if tr.r in oov_rels:
-            fields.append("r")
-        if tr.t in oov_ents:
-            fields.append("t")
-        if fields:
-            affected.append(AffectedTriple(name, line_no, tr, tuple(fields)))
-    pct = len(affected) / len(split) if split else 0.0
-    return SplitOov(oov_ents, oov_rels, tuple(affected), pct)
+    h, r, t = split.T
+    oov = np.stack([~known_ents[h], ~known_rels[r], ~known_ents[t]], axis=1)
+    lines = dataset.line_numbers[name]
+    affected = tuple(
+        AffectedTriple(name, lines[i], Triple._make(split[i].tolist()),
+                       tuple(f for f, on in zip("hrt", oov[i].tolist()) if on))
+        for i in np.flatnonzero(oov.any(axis=1)).tolist())
+    pct = len(affected) / len(split) if len(split) else 0.0
+    return SplitOov(frozenset(ents[~known_ents[ents]].tolist()),
+                    frozenset(rels[~known_rels[rels]].tolist()), affected, pct)
 
 
 def detect_oov(dataset: SplitDataset) -> OovReport:
@@ -93,9 +87,13 @@ def detect_oov(dataset: SplitDataset) -> OovReport:
     OOV fields is counted once.
     """
     train_ents, train_rels = split_vocab(dataset.train)
+    known_ents = np.zeros(dataset.vocab.n_entities, dtype=bool)
+    known_ents[train_ents] = True
+    known_rels = np.zeros(dataset.vocab.n_relations, dtype=bool)
+    known_rels[train_rels] = True
     return OovReport(
-        valid=_detect_split(dataset, "valid", train_ents, train_rels),
-        test=_detect_split(dataset, "test", train_ents, train_rels),
+        valid=_detect_split(dataset, "valid", known_ents, known_rels),
+        test=_detect_split(dataset, "test", known_ents, known_rels),
     )
 
 
@@ -117,20 +115,32 @@ class DegreeStats:
     n_head_entities: int
 
 
-def degree_stats(split: Sequence[Triple]) -> DegreeStats:
-    if not split:
+def _degrees(ids: np.ndarray) -> np.ndarray:
+    """Occurrence counts of the distinct ``ids``, in the order each is first seen.
+
+    The order fixes the float sums of the SD, so the statistics of a split
+    depend on its rows alone, bit for bit, not on how ids were assigned.
+    """
+    counts = np.bincount(ids)
+    first = np.full(len(counts), len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    seen = np.flatnonzero(counts)
+    return counts[seen[np.argsort(first[seen])]].astype(float)
+
+
+def degree_stats(split: np.ndarray) -> DegreeStats:
+    split = as_triples(split)
+    if not len(split):
         raise ValueError("degree statistics are undefined for an empty split")
-    indeg: Counter[int] = Counter(t for _, _, t in split)
-    outdeg: Counter[int] = Counter(h for h, _, _ in split)
-    in_counts = np.array(list(indeg.values()), dtype=float)
-    out_counts = np.array(list(outdeg.values()), dtype=float)
+    in_counts = _degrees(split[:, 2])
+    out_counts = _degrees(split[:, 0])
     return DegreeStats(
         indegree_mean=float(in_counts.mean()),
         indegree_sd=float(in_counts.std()),
         outdegree_mean=float(out_counts.mean()),
         outdegree_sd=float(out_counts.std()),
-        n_tail_entities=len(indeg),
-        n_head_entities=len(outdeg),
+        n_tail_entities=len(in_counts),
+        n_head_entities=len(out_counts),
     )
 
 
@@ -149,7 +159,7 @@ def overview_report(dataset: SplitDataset) -> dict:
             "n_entities": len(ents),
             "n_relations": len(rels),
         }
-        if split:
+        if len(split):
             deg = degree_stats(split)
             entry["indegree"] = {"mean": deg.indegree_mean, "sd": deg.indegree_sd}
             entry["outdegree"] = {"mean": deg.outdegree_mean, "sd": deg.outdegree_sd}

@@ -77,14 +77,8 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_audit(args) -> int:
-    dataset = load_dataset(_layout(args))
-    report = overview_report(dataset)
-    md = reporting.overview_markdown(report) + "\n" + reporting.oov_markdown(report)
-    reference = reporting.match_reference(report)
-    if reference is not None:
-        rows = reporting.compare_to_reference(report, reference)
-        report["reference"] = {"dataset": reference, "rows": rows}
-        md += "\n" + reporting.reference_markdown(reference, rows)
+    report = overview_report(load_dataset(_layout(args)))
+    md = reporting.audit_markdown(report)
     print(md)
     if args.json:
         reporting.dump_json(report, Path(args.json))
@@ -244,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--fixtures", choices=("wn18rr", "fb15k-237", "yago3-10"),
                        help="use the shipped published-results fixture")
     group.add_argument("--a", help="report-set JSON {model: metrics report}")
-    p.add_argument("--b", help="second report-set JSON (with --a)")
+    p.add_argument("--b", help="second report-set JSON (with --a, and only with it)")
     p.add_argument("--zero-policy", choices=("discard", "pratt"), default="discard",
                    dest="zero_policy")
     p.add_argument("--json", help="write the comparison result here")
@@ -264,8 +258,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.func is cmd_compare and args.a and not args.b:
-            parser.error("--a requires --b")
+        if args.func is cmd_compare and (args.a is None) != (args.b is None):
+            parser.error("--a and --b must be given together")
         if getattr(args, "data", "skip") is None and not os.environ.get("KGBENCH_DATA"):
             parser.error("--data not given and KGBENCH_DATA is not set")
         return args.func(args)

@@ -3,7 +3,8 @@
 Everything here is immutable after construction. Ids are dense
 non-negative integers assigned by first occurrence in the concatenation
 train + valid + test; out-of-vocabulary status is always decided by set
-membership, never by id arithmetic.
+membership, never by id arithmetic. A split is a read-only ``(n, 3)``
+int64 array of ``(h, r, t)`` id rows; ``Triple`` names a single triple.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, NamedTuple
+from typing import ClassVar, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 
 class DatasetError(ValueError):
@@ -90,39 +93,68 @@ def build_vocabulary(triples: Iterable[LabeledTriple]) -> Vocabulary:
     return Vocabulary(tuple(entities), tuple(relations))
 
 
-def split_vocab(split: Iterable[Triple]) -> tuple[set[int], set[int]]:
-    """Entity and relation ids actually occurring in a split."""
-    ents: set[int] = set()
-    rels: set[int] = set()
-    for h, r, t in split:
-        ents.add(h)
-        ents.add(t)
-        rels.add(r)
-    return ents, rels
+def as_triples(triples: np.ndarray | Iterable[tuple[int, int, int]]) -> np.ndarray:
+    """A read-only ``(n, 3)`` int64 id array of an array or an iterable of ``(h, r, t)``.
+
+    A read-only int64 array is returned as it is; anything else is copied.
+    """
+    if not (isinstance(triples, np.ndarray) and triples.dtype == np.int64
+            and not triples.flags.writeable):
+        triples = np.array(triples if isinstance(triples, np.ndarray) else list(triples),
+                           dtype=np.int64)
+        triples.flags.writeable = False
+    if triples.size == 0:
+        triples = triples.reshape(0, 3)
+    if triples.ndim != 2 or triples.shape[1] != 3:
+        raise DatasetError(f"triples must form an (n, 3) id array, got shape {triples.shape}")
+    return triples
 
 
-@dataclass(frozen=True)
+def _key_base(*splits: np.ndarray) -> int:
+    """Largest id plus 1: the ``n`` of :func:`_keys`, refused if the keys overflow int64."""
+    if any(s.size and s.min() < 0 for s in splits):
+        raise DatasetError("triple ids must be non-negative")
+    n = max((int(s.max()) + 1 for s in splits if s.size), default=0)
+    if n ** 3 >= 2 ** 63:
+        raise DatasetError(f"ids up to {n - 1} do not fit a 64-bit triple key")
+    return n
+
+
+def _keys(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """``(a*n + b)*n + c``: int64 keys that sort like the tuples ``(a, b, c)``."""
+    return (a * n + b) * n + c
+
+
+def split_vocab(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted entity ids and sorted relation ids occurring in a split."""
+    split = as_triples(split)
+    return (np.flatnonzero(np.bincount(split[:, [0, 2]].ravel())),
+            np.flatnonzero(np.bincount(split[:, 1])))
+
+
+@dataclass(frozen=True, eq=False)
 class SplitDataset:
     """Train/valid/test triples over one shared vocabulary.
 
-    ``line_numbers`` maps each triple back to its 1-based line in the source
-    file so corrections can be byte-exact; programmatic datasets default to
-    1..n. ``source_dir``/``filenames`` are set by the loader and are needed
-    only for writing corrected copies.
+    Splits are stored as :func:`as_triples` arrays. ``line_numbers`` maps
+    each triple back to its 1-based line in the source file so corrections
+    can be byte-exact; programmatic datasets default to 1..n.
+    ``source_dir`` is set by the loader and is needed only for writing
+    corrected copies.
     """
 
     vocab: Vocabulary
-    train: tuple[Triple, ...]
-    valid: tuple[Triple, ...]
-    test: tuple[Triple, ...]
+    train: np.ndarray
+    valid: np.ndarray
+    test: np.ndarray
     line_numbers: dict[str, tuple[int, ...]] = field(default_factory=dict, repr=False)
     source_dir: str | None = None
-    filenames: dict[str, str] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         lines = dict(self.line_numbers)
         for name in SPLIT_NAMES:
-            split = self.split(name)
+            split = as_triples(getattr(self, name))
+            object.__setattr__(self, name, split)
             if name not in lines:
                 lines[name] = tuple(range(1, len(split) + 1))
             elif len(lines[name]) != len(split):
@@ -130,81 +162,88 @@ class SplitDataset:
         object.__setattr__(self, "line_numbers", lines)
         self._validate()
 
-    def split(self, name: str) -> tuple[Triple, ...]:
+    def split(self, name: str) -> np.ndarray:
         if name not in SPLIT_NAMES:
             raise KeyError(f"unknown split {name!r}")
         return getattr(self, name)
 
-    def all_triples(self) -> Iterable[Triple]:
+    def all_triples(self) -> Iterator[Triple]:
         for name in SPLIT_NAMES:
-            yield from self.split(name)
+            yield from map(Triple._make, self.split(name).tolist())
 
     def _validate(self) -> None:
         ne, nr = self.vocab.n_entities, self.vocab.n_relations
-        sets: dict[str, set[Triple]] = {}
         for name in SPLIT_NAMES:
             split = self.split(name)
-            for tr in split:
-                if not (0 <= tr.h < ne and 0 <= tr.t < ne and 0 <= tr.r < nr):
-                    raise DatasetError(f"{name} triple {tr} has ids outside the vocabulary")
-            sets[name] = set(split)
+            outside = ((split < 0) | (split >= (ne, nr, ne))).any(axis=1)
+            if outside.any():
+                tr = Triple._make(split[outside.argmax()].tolist())
+                raise DatasetError(f"{name} triple {tr} has ids outside the vocabulary")
+        n = _key_base(self.train, self.valid, self.test)
+        keys = {name: _keys(*self.split(name).T, n) for name in SPLIT_NAMES}
         for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
-            overlap = sets[a] & sets[b]
-            if overlap:
-                tr = next(iter(overlap))
-                labels = (
-                    self.vocab.entity_label(tr.h),
-                    self.vocab.relation_label(tr.r),
-                    self.vocab.entity_label(tr.t),
-                )
+            known = np.sort(keys[a])
+            if not len(known):
+                continue
+            shared = known.take(known.searchsorted(keys[b]), mode="clip") == keys[b]
+            if shared.any():
+                h, r, t = self.split(b)[shared.argmax()].tolist()
+                labels = (self.vocab.entity_label(h), self.vocab.relation_label(r),
+                          self.vocab.entity_label(t))
                 raise DatasetError(f"splits {a} and {b} overlap, e.g. {labels}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterIndex:
-    """Set membership over the union of all splits, with (h,r)/(r,t)/(h,t) indexes.
+    """Known-true triples as three sorted int64 key arrays, for filtered ranking.
 
-    Used by filtered ranking: known-true candidates other than the query
-    triple are removed before ranks are read off.
+    ``triples``, ``by_rt`` and ``by_ht`` are the sorted :func:`_keys` of
+    ``(h, r, t)``, ``(r, t, h)`` and ``(h, t, r)`` with base ``n``, so the
+    known tails of ``(h, r)`` are one run of ``triples`` found by two binary
+    searches; likewise heads and relations. Duplicate keys are harmless, as
+    lookups return sets.
     """
 
-    triples: frozenset[Triple]
-    tails_by_hr: dict[tuple[int, int], frozenset[int]] = field(repr=False)
-    heads_by_rt: dict[tuple[int, int], frozenset[int]] = field(repr=False)
-    rels_by_ht: dict[tuple[int, int], frozenset[int]] = field(repr=False)
+    n: int
+    triples: np.ndarray = field(repr=False)
+    by_rt: np.ndarray = field(repr=False)
+    by_ht: np.ndarray = field(repr=False)
 
     _EMPTY: ClassVar[frozenset[int]] = frozenset()
 
-    def contains(self, triple: Triple) -> bool:
-        return triple in self.triples
+    def _run(self, keys: np.ndarray, a: int, b: int) -> frozenset[int]:
+        """The third ids of the keys that start with ``(a, b)``."""
+        n = self.n
+        if not (0 <= a < n and 0 <= b < n):
+            return self._EMPTY
+        lo = (int(a) * n + int(b)) * n
+        return frozenset((keys[keys.searchsorted(lo):keys.searchsorted(lo + n)] - lo).tolist())
+
+    def contains(self, triple: tuple[int, int, int]) -> bool:
+        h, r, t = triple
+        return t in self.tails(h, r)
 
     def tails(self, h: int, r: int) -> frozenset[int]:
-        return self.tails_by_hr.get((h, r), self._EMPTY)
+        return self._run(self.triples, h, r)
 
     def heads(self, r: int, t: int) -> frozenset[int]:
-        return self.heads_by_rt.get((r, t), self._EMPTY)
+        return self._run(self.by_rt, r, t)
 
     def relations(self, h: int, t: int) -> frozenset[int]:
-        return self.rels_by_ht.get((h, t), self._EMPTY)
+        return self._run(self.by_ht, h, t)
 
     @classmethod
-    def from_triples(cls, triples: Iterable[Triple]) -> "FilterIndex":
-        tails: dict[tuple[int, int], set[int]] = {}
-        heads: dict[tuple[int, int], set[int]] = {}
-        rels: dict[tuple[int, int], set[int]] = {}
-        all_triples = frozenset(triples)
-        for h, r, t in all_triples:
-            tails.setdefault((h, r), set()).add(t)
-            heads.setdefault((r, t), set()).add(h)
-            rels.setdefault((h, t), set()).add(r)
-        return cls(
-            triples=all_triples,
-            tails_by_hr={k: frozenset(v) for k, v in tails.items()},
-            heads_by_rt={k: frozenset(v) for k, v in heads.items()},
-            rels_by_ht={k: frozenset(v) for k, v in rels.items()},
-        )
+    def from_triples(cls, triples: np.ndarray | Iterable[tuple[int, int, int]]
+                     ) -> "FilterIndex":
+        triples = as_triples(triples)
+        n = _key_base(triples)
+        h, r, t = triples.T
+        keys = [np.sort(_keys(a, b, c, n)) for a, b, c in ((h, r, t), (r, t, h), (h, t, r))]
+        for k in keys:
+            k.flags.writeable = False
+        return cls(n, *keys)
 
 
 def filter_index_build(dataset: SplitDataset) -> FilterIndex:
     """Index over train + valid + test: filtering spans all three splits."""
-    return FilterIndex.from_triples(dataset.all_triples())
+    return FilterIndex.from_triples(np.concatenate([dataset.train, dataset.valid, dataset.test]))

@@ -146,11 +146,6 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
     reciprocal checkpoints whose parameter tables exceed the vocabulary).
     """
     _check_tie(tie)
-    if not index.contains(Triple(h, r, t)):
-        raise EvaluationError(
-            f"triple ({h}, {r}, {t}) is not in the filter index; refusing to rank "
-            f"against unfiltered data"
-        )
     if direction == "tail":
         scores = score_all_tails(params, h, r)
         filtered: Iterable[int] = index.tails(h, r)
@@ -168,6 +163,11 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
         target = r
     else:
         raise ValueError(f"unknown direction {direction!r}")
+    if target not in filtered:
+        raise EvaluationError(
+            f"triple ({h}, {r}, {t}) is not in the filter index; refusing to rank "
+            f"against unfiltered data"
+        )
     mask = _candidate_mask(len(scores), candidates, filtered, target)
     return _rank_pair(scores, mask, target, tie)
 
@@ -175,7 +175,7 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
 @dataclass(frozen=True)
 class _EvalSetup:
     index: FilterIndex
-    triples: tuple[Triple, ...]
+    triples: np.ndarray
     entity_candidates: np.ndarray
     relation_candidates: np.ndarray
 
@@ -197,15 +197,13 @@ def _setup(params: ModelParams, dataset: SplitDataset, split: str, policy: str,
     triples = dataset.split(split)
     if policy == "exclude":
         if split in ("valid", "test"):
-            affected = {a.triple for a in detect_oov(dataset).split(split).affected}
-            triples = tuple(tr for tr in triples if tr not in affected)
-        train_ents, train_rels = split_vocab(dataset.train)
-        ent_candidates = np.array(sorted(train_ents), dtype=np.int64)
-        rel_candidates = np.array(sorted(train_rels), dtype=np.int64)
+            removed = detect_oov(dataset).removed_line_numbers(split)
+            triples = triples[~np.isin(dataset.line_numbers[split], list(removed))]
+        ent_candidates, rel_candidates = split_vocab(dataset.train)
     else:
         ent_candidates = np.arange(vocab.n_entities, dtype=np.int64)
         rel_candidates = np.arange(vocab.n_relations, dtype=np.int64)
-    if not triples:
+    if not len(triples):
         raise EvaluationError(f"no {split} triples left to evaluate under policy {policy!r}")
     # Masks are sized to the parameter tables, so candidate arrays are
     # explicit even under include (reciprocal checkpoints have extra rows).
@@ -218,7 +216,7 @@ def _rank_split(params: ModelParams, setup: _EvalSetup, directions: tuple[str, .
     shape = (len(setup.triples), len(directions))
     ranks = np.empty(shape)
     hits_ranks = np.empty(shape, dtype=np.int64)
-    for i, tr in enumerate(setup.triples):
+    for i, tr in enumerate(setup.triples.tolist()):
         for j, direction in enumerate(directions):
             candidates = (setup.relation_candidates if direction == "relation"
                           else setup.entity_candidates)
@@ -232,7 +230,7 @@ def _report(setup: _EvalSetup, ranks: np.ndarray, hits_ranks: np.ndarray, policy
     """MRR, Hits@N and per-relation MRR; every slot of every triple weighs the same."""
     n, slots = ranks.shape
     rr = (1.0 / ranks).sum(axis=1)
-    rels = np.fromiter((tr.r for tr in setup.triples), dtype=np.int64, count=n)
+    rels = setup.triples[:, 1]
     rel_rr = np.bincount(rels, weights=rr)
     rel_n = np.bincount(rels)
     return MetricsReport(
@@ -283,5 +281,5 @@ def rank_records(params: ModelParams, dataset: SplitDataset, split: str = "test"
     setup = _setup(params, dataset, split, policy, reciprocal)
     ranks, hits_ranks = _rank_split(params, setup, ("tail", "head", "relation"), tie,
                                     reciprocal)
-    return [RankRecord(tr, *rank, *hits)
-            for tr, rank, hits in zip(setup.triples, ranks.tolist(), hits_ranks.tolist())]
+    return [RankRecord(Triple._make(tr), *rank, *hits) for tr, rank, hits
+            in zip(setup.triples.tolist(), ranks.tolist(), hits_ranks.tolist())]

@@ -10,13 +10,16 @@ use spaces, hence the any-whitespace separator fallback.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .audit import OovReport
-from .core import DatasetError, LabeledTriple, SplitDataset, Triple, build_vocabulary
+from .core import DatasetError, LabeledTriple, SplitDataset, Vocabulary, build_vocabulary
 from .version import __version__
 
 log = logging.getLogger(__name__)
@@ -38,16 +41,13 @@ class EncodingError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetLayout:
-    """Location and format of one benchmark's three split files."""
+    """Location and format of one benchmark's split files, ``{split}.txt``."""
 
     dir: Path
-    filenames: dict[str, str] = field(
-        default_factory=lambda: {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
-    )
     separator: str = "tab"  # "tab" | "ws"
 
     def path(self, split: str) -> Path:
-        return Path(self.dir) / self.filenames[split]
+        return Path(self.dir) / f"{split}.txt"
 
     def check(self) -> None:
         for split in ("train", "valid", "test"):
@@ -114,6 +114,13 @@ def _dedupe(labeled: list[LabeledTriple], path: Path,
     return kept, lines
 
 
+def _intern(vocab: Vocabulary, labeled: list[LabeledTriple]) -> np.ndarray:
+    """The ``(n, 3)`` id array of labeled triples, with no Python object per row."""
+    lookups = itertools.cycle((vocab.entity_ids, vocab.relation_ids, vocab.entity_ids))
+    ids = map(dict.__getitem__, lookups, itertools.chain.from_iterable(labeled))
+    return np.fromiter(ids, dtype=np.int64, count=3 * len(labeled)).reshape(-1, 3)
+
+
 def load_dataset(layout: DatasetLayout, dedupe: bool = False) -> SplitDataset:
     """Parse all three splits and intern them over one shared vocabulary.
 
@@ -135,13 +142,10 @@ def load_dataset(layout: DatasetLayout, dedupe: bool = False) -> SplitDataset:
         t for split in ("train", "valid", "test") for t in labeled[split]
     )
     return SplitDataset(
-        vocab=vocab,
-        train=tuple(vocab.intern(t) for t in labeled["train"]),
-        valid=tuple(vocab.intern(t) for t in labeled["valid"]),
-        test=tuple(vocab.intern(t) for t in labeled["test"]),
+        vocab,
+        *(_intern(vocab, labeled[split]) for split in ("train", "valid", "test")),
         line_numbers=line_numbers,
         source_dir=str(layout.dir),
-        filenames=dict(layout.filenames),
     )
 
 
@@ -151,9 +155,9 @@ def _filter_lines(data: bytes, removed: frozenset[int]) -> bytes:
     return b"\n".join(kept)
 
 
-def _labels_of(dataset: SplitDataset, triple: Triple) -> tuple[str, str, str]:
-    v = dataset.vocab
-    return v.entity_label(triple.h), v.relation_label(triple.r), v.entity_label(triple.t)
+def _labels_of(dataset: SplitDataset, triple) -> tuple[str, str, str]:
+    v, (h, r, t) = dataset.vocab, triple
+    return v.entity_label(h), v.relation_label(r), v.entity_label(t)
 
 
 def write_corrected(dataset: SplitDataset, removal: OovReport, out_dir: Path,
@@ -166,7 +170,6 @@ def write_corrected(dataset: SplitDataset, removal: OovReport, out_dir: Path,
     are auditable artifacts. Returns a summary dict including the manifest.
     """
     out_dir = Path(out_dir)
-    filenames = dataset.filenames or {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
     src_dir = Path(dataset.source_dir) if dataset.source_dir else None
     if src_dir is not None and out_dir.resolve() == src_dir.resolve():
         raise FileExistsError("refusing to overwrite the input dataset in place")
@@ -177,9 +180,9 @@ def write_corrected(dataset: SplitDataset, removal: OovReport, out_dir: Path,
     sources: dict[str, bytes] = {}
     for split in ("train", "valid", "test"):
         if src_dir is not None:
-            sources[split] = (src_dir / filenames[split]).read_bytes()
+            sources[split] = (src_dir / f"{split}.txt").read_bytes()
         else:
-            rows = [_labels_of(dataset, tr) for tr in dataset.split(split)]
+            rows = [_labels_of(dataset, tr) for tr in dataset.split(split).tolist()]
             text = "".join("\t".join(row) + "\n" for row in rows)
             sources[split] = text.encode("utf-8")
 
@@ -205,12 +208,12 @@ def write_corrected(dataset: SplitDataset, removal: OovReport, out_dir: Path,
             )
 
     for split in ("train", "valid", "test"):
-        (out_dir / filenames[split]).write_bytes(outputs[split])
+        (out_dir / f"{split}.txt").write_bytes(outputs[split])
 
     manifest = {
         "tool_version": __version__,
         "input_sha256": {
-            filenames[s]: hashlib.sha256(sources[s]).hexdigest() for s in ("train", "valid", "test")
+            f"{s}.txt": hashlib.sha256(sources[s]).hexdigest() for s in ("train", "valid", "test")
         },
         "removed": removed_entries,
         "counts": {

@@ -134,6 +134,22 @@ def compare_to_reference(report: dict, name: str) -> list[dict]:
     return rows
 
 
+def audit_markdown(report: dict, title: str = "Dataset overview") -> str:
+    """The overview and OOV markdown of an audit report, plus the reference comparison.
+
+    When the split sizes identify a published benchmark, the comparison
+    rows are also stored in ``report["reference"]``, so the JSON form of
+    the report carries them too.
+    """
+    md = overview_markdown(report, title) + "\n" + oov_markdown(report)
+    name = match_reference(report)
+    if name is not None:
+        rows = compare_to_reference(report, name)
+        report["reference"] = {"dataset": name, "rows": rows}
+        md += "\n" + reference_markdown(name, rows)
+    return md
+
+
 def reference_markdown(name: str, rows: list[dict]) -> str:
     table = _md_table(
         ["field", "published", "computed", "status"],

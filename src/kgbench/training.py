@@ -11,7 +11,6 @@ benchmark scale, but it does shift absolute loss values).
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Triple, Vocabulary, SplitDataset
+from .core import SplitDataset, Vocabulary, as_triples, split_vocab
 from .models import ModelParams, SparseGrad, grad, init_params, score
 
 ADAM_BETA1 = 0.9
@@ -101,9 +100,9 @@ def _coerce(key: str, value: str):
     return value
 
 
-def augment_reciprocal(train: Sequence[Triple], vocab: Vocabulary
-                       ) -> tuple[list[Triple], Vocabulary]:
-    """Add (t, r_inv, h) for every (h, r, t), with fresh inverse relations.
+def augment_reciprocal(train: np.ndarray, vocab: Vocabulary
+                       ) -> tuple[np.ndarray, Vocabulary]:
+    """Append (t, r_inv, h) for every (h, r, t) row, with fresh inverse relations.
 
     Relation ids double: r_inv = |R| + r. Inverse labels get an ``_inv``
     suffix; a collision with an existing label is refused rather than merged.
@@ -117,8 +116,8 @@ def augment_reciprocal(train: Sequence[Triple], vocab: Vocabulary
             raise ValueError(f"reciprocal label collision: {inv!r} already exists")
         inverse_labels.append(inv)
     extended = Vocabulary(vocab.entities, vocab.relations + tuple(inverse_labels))
-    augmented = list(train) + [Triple(t, n + r, h) for h, r, t in train]
-    return augmented, extended
+    train = as_triples(train)
+    return np.concatenate([train, train[:, ::-1] + (0, n, 0)]), extended
 
 
 def sample_negatives(triples: np.ndarray, k: int, entity_pool: np.ndarray,
@@ -228,19 +227,16 @@ def train(dataset: SplitDataset, config: TrainConfig) -> TrainResult:
     :class:`TrainingError` naming the batch if the loss goes non-finite.
     """
     vocab = dataset.vocab
-    triples: Sequence[Triple] = dataset.train
-    train_vocab = vocab
+    rows, train_vocab = dataset.train, vocab
     if config.reciprocal:
-        triples, train_vocab = augment_reciprocal(dataset.train, vocab)
-    if not triples:
+        rows, train_vocab = augment_reciprocal(dataset.train, vocab)
+    if not len(rows):
         raise TrainingError("train split is empty")
 
     params = init_params(config.model, vocab.n_entities, train_vocab.n_relations,
                          config.dim, config.seed)
     rng = np.random.default_rng((config.seed, 1))
-    rows = np.fromiter(itertools.chain.from_iterable(triples), dtype=np.int64,
-                       count=3 * len(triples)).reshape(-1, 3)
-    entity_pool = np.unique(rows[:, [0, 2]])  # reciprocal rows only swap h and t
+    entity_pool = split_vocab(dataset.train)[0]  # reciprocal rows only swap h and t
 
     loss_kind = config.resolved_loss()
     optimizer = _Adam(params, config.lr) if config.optimizer == "adam" else _Sgd(params, config.lr)

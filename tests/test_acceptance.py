@@ -296,7 +296,7 @@ def _symmetric_toy_kg(seed=7, n_entities=50, n_extra=20):
 
 def test_criterion_8_training_smoke():
     ds = _symmetric_toy_kg()
-    n_train_entities = len({e for tr in ds.train for e in (tr.h, tr.t)})
+    n_train_entities = len({e for h, _, t in ds.train.tolist() for e in (h, t)})
     assert n_train_entities == 50
     config = TrainConfig(model="distmult", dim=32, epochs=200, batch_size=32,
                          lr=0.05, negatives=4, loss="logistic", optimizer="adam",

@@ -91,6 +91,19 @@ def test_degree_stats_matches_brute_force_tally():
     assert stats.n_head_entities == expected["n_head_entities"]
 
 
+def test_degree_stats_do_not_depend_on_id_assignment():
+    # counts are summed in the order each entity is first seen, so renumbering
+    # the entities leaves every bit of the SDs unchanged
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n, ne = int(rng.integers(50, 2000)), int(rng.integers(10, 500))
+        skewed = (rng.pareto(1.0, n) * 3).astype(np.int64) % ne
+        split = np.stack([rng.integers(0, ne, n), rng.integers(0, 3, n), skewed], axis=1)
+        relabel = rng.permutation(ne)
+        renamed = np.stack([relabel[split[:, 0]], split[:, 1], relabel[split[:, 2]]], axis=1)
+        assert degree_stats(renamed) == degree_stats(split)
+
+
 def test_overview_report_structure_and_containment_flags():
     ds = make_dataset([("a", "p", "b"), ("b", "p", "c")], [("a", "p", "c")], [("c", "p", "b")])
     report = overview_report(ds)

@@ -250,6 +250,14 @@ def test_compare_report_sets_that_do_not_pair_exit_65(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_compare_report_sets_need_both_sides_exit_64(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["compare", "--fixtures", "wn18rr", "--b", missing]) == 64
+    assert main(["compare", "--a", missing]) == 64
+    assert "--a and --b must be given together" in capsys.readouterr().err
+    assert main(["compare", "--b", missing]) == 64
+
+
 def test_compare_identical_reports_degenerate_exit_65(tmp_path, capsys):
     a = {"m1": {"mrr": 0.4, "hits": {"1": 0.3, "3": 0.45, "10": 0.55}}}
     pa = tmp_path / "a.json"

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from kgbench import (
     DatasetError,
+    FilterIndex,
     SplitDataset,
     Triple,
     build_vocabulary,
@@ -53,8 +54,8 @@ def test_interning_round_trip(labeled):
 
 
 def test_split_vocab_examples():
-    assert split_vocab([]) == (set(), set())
-    assert split_vocab([Triple(0, 0, 1)]) == ({0, 1}, {0})
+    assert [ids.tolist() for ids in split_vocab([])] == [[], []]
+    assert [ids.tolist() for ids in split_vocab([Triple(0, 0, 1)])] == [[0, 1], [0]]
 
 
 def test_split_dataset_rejects_overlap():
@@ -116,8 +117,6 @@ def test_filter_index_query_equivalence(data):
             min_size=1, max_size=25, unique=True,
         )
     )
-    from kgbench.core import FilterIndex
-
     idx = FilterIndex.from_triples(Triple(*t) for t in triples)
     h = data.draw(st.integers(0, n_e - 1))
     r = data.draw(st.integers(0, n_r - 1))
@@ -132,3 +131,73 @@ def test_vocab_hash_changes_with_order():
     v1 = build_vocabulary([("a", "p", "b")])
     v2 = build_vocabulary([("b", "p", "a")])
     assert v1.sha256() != v2.sha256()
+
+
+def test_filter_index_ids_outside_its_range_give_empty_sets():
+    # n = 3: a query id of -1 or 3 must not alias the run of another pair
+    idx = FilterIndex.from_triples([(0, 0, 1), (1, 0, 2), (2, 1, 0)])
+    assert idx.n == 3
+    for a, b in ((-1, 0), (0, -1), (3, 0), (0, 3), (-1, 3), (10 ** 6, 10 ** 6)):
+        assert idx.tails(a, b) == frozenset()
+        assert idx.heads(a, b) == frozenset()
+        assert idx.relations(a, b) == frozenset()
+    assert idx.tails(1, -3) == frozenset()  # (1*3 - 3)*3 is the key prefix of (0, 0)
+    for tr in ((-1, 0, 1), (0, 0, -2), (0, 0, 4), (1, 0, 5), (0, 3, 1)):
+        assert not idx.contains(tr)
+    assert not FilterIndex.from_triples([]).contains((0, 0, 0))
+
+
+def test_filter_index_refuses_ids_whose_keys_overflow_int64():
+    fits = 2 ** 21 - 1  # (2**21 - 1)**3 < 2**63 <= (2**21)**3
+    assert FilterIndex.from_triples([(0, 0, fits - 1)]).contains((0, 0, fits - 1))
+    with pytest.raises(DatasetError, match="64-bit"):
+        FilterIndex.from_triples([(0, 0, fits)])
+    with pytest.raises(DatasetError, match="non-negative"):
+        FilterIndex.from_triples([(0, -1, 0)])
+
+
+def test_more_relations_than_entities():
+    train = [("a", f"r{i}", "b") for i in range(7)]
+    ds = make_dataset(train, [("b", "r3", "a")], [("b", "r6", "a")])
+    assert ds.vocab.n_relations > ds.vocab.n_entities
+    idx = filter_index_build(ds)
+    assert idx.n == 7
+    assert idx.relations(0, 1) == frozenset(range(7))
+    assert idx.relations(1, 0) == {3, 6}
+    assert idx.tails(0, 5) == {1} and idx.heads(5, 1) == {0}
+    assert idx.tails(1, 5) == frozenset()
+    ents, rels = split_vocab(ds.train)
+    assert ents.tolist() == [0, 1] and rels.tolist() == list(range(7))
+
+
+def test_splits_are_read_only_and_tuples_equal_arrays():
+    v = build_vocabulary([("a", "p", "b"), ("b", "q", "c")])
+    rows = [Triple(0, 0, 1), Triple(1, 1, 2)]
+    from_tuples = SplitDataset(vocab=v, train=rows, valid=[(2, 0, 0)], test=())
+    source = np.array([[0, 0, 1], [1, 1, 2]], dtype=np.int32)
+    from_array = SplitDataset(vocab=v, train=source, valid=np.array([[2, 0, 0]]),
+                              test=np.empty((0, 3), dtype=np.int64))
+    for name in ("train", "valid", "test"):
+        a, b = from_tuples.split(name), from_array.split(name)
+        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape and a.shape[1:] == (3,)
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError):
+            b[:1] = 0
+    source[0, 0] = 1  # the dataset holds its own copy
+    assert from_array.train[0].tolist() == [0, 0, 1]
+    assert list(from_array.all_triples()) == rows + [Triple(2, 0, 0)]
+    with pytest.raises(DatasetError, match="shape"):
+        SplitDataset(vocab=v, train=[(0, 0)], valid=(), test=())
+
+
+def test_split_errors_name_the_triple():
+    v = build_vocabulary([("a", "p", "b"), ("b", "p", "c")])
+    with pytest.raises(DatasetError, match=r"valid triple Triple\(h=1, r=0, t=3\) has ids"):
+        SplitDataset(vocab=v, train=[(0, 0, 1)], valid=[(0, 0, 2), (1, 0, 3)], test=())
+    with pytest.raises(DatasetError, match=r"test triple Triple\(h=0, r=-1, t=1\) has ids"):
+        SplitDataset(vocab=v, train=[(0, 0, 1)], valid=(), test=[(0, -1, 1)])
+    overlap = r"splits valid and test overlap, e\.g\. \('b', 'p', 'c'\)"
+    with pytest.raises(DatasetError, match=overlap):
+        SplitDataset(vocab=v, train=[(0, 0, 1)], valid=[(1, 0, 0), (1, 0, 2)],
+                     test=[(2, 0, 0), (1, 0, 2)])

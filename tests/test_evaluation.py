@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from kgbench import (
     ModelParams,
+    Triple,
     detect_oov,
     evaluate,
     evaluate_relation_prediction,
@@ -253,7 +254,7 @@ def test_per_relation_matches_subset_arithmetic():
     ent_cands = list(range(7))
     per_rel = evaluate(params, ds, split="test").per_relation_mrr
     for rid in per_rel:
-        triples = [tr for tr in ds.test if tr.r == rid]
+        triples = [tr for tr in ds.test.tolist() if tr[1] == rid]
         total = 0.0
         for tr in triples:
             rt, _ = brute_force_rank(params, union, *tr, "tail", "mean", ent_cands)
@@ -261,7 +262,7 @@ def test_per_relation_matches_subset_arithmetic():
             total += 1.0 / rt + 1.0 / rh
         assert per_rel[rid] == pytest.approx(total / (2 * len(triples)), rel=1e-12)
     # relation absent from the split is omitted
-    present = {tr.r for tr in ds.test}
+    present = {r for _, r, _ in ds.test.tolist()}
     assert set(per_rel) == present
 
 
@@ -334,10 +335,11 @@ def _oov_kg(seed):
     """Random KG whose test split adds a triple with an OOV tail and one with an OOV head."""
     base = random_kg(np.random.default_rng(seed), 9, 3, n_train=40, n_test=10)
     v = base.vocab
-    lab = lambda tr: (v.entity_label(tr.h), v.relation_label(tr.r), v.entity_label(tr.t))
-    h, r, t = lab(base.train[0])
-    test = [lab(tr) for tr in base.test] + [(h, r, "ghost"), ("spook", r, t)]
-    return make_dataset([lab(tr) for tr in base.train], [], test)
+    lab = lambda tr: (v.entity_label(tr[0]), v.relation_label(tr[1]), v.entity_label(tr[2]))
+    train = [lab(tr) for tr in base.train.tolist()]
+    h, r, t = train[0]
+    test = [lab(tr) for tr in base.test.tolist()] + [(h, r, "ghost"), ("spook", r, t)]
+    return make_dataset(train, [], test)
 
 
 def _assert_metrics_from_records(report, records, directions):
@@ -365,13 +367,14 @@ def test_rank_records_and_metrics_follow_filtered_rank_pair(kind):
     train_ents, train_rels = split_vocab(ds.train)
     candidates = {
         "include": (np.arange(ds.vocab.n_entities), np.arange(ds.vocab.n_relations)),
-        "exclude": (np.array(sorted(train_ents)), np.array(sorted(train_rels))),
+        "exclude": (train_ents, train_rels),
     }
     for reciprocal in (False, True):
         n_rel_rows = ds.vocab.n_relations * (2 if reciprocal else 1)
         params = init_params(kind, ds.vocab.n_entities, n_rel_rows, 3, seed=5)
         for policy, (ent, rel) in candidates.items():
-            kept = [tr for tr in ds.test if policy == "include" or tr not in affected]
+            kept = [tr for tr in map(Triple._make, ds.test.tolist())
+                    if policy == "include" or tr not in affected]
             for tie in TIES:
                 records = rank_records(params, ds, policy=policy, tie=tie,
                                        reciprocal=reciprocal)

@@ -1,6 +1,7 @@
 import json
 
 from kgbench.reporting import (
+    audit_markdown,
     compare_to_reference,
     dump_json,
     load_reference_stats,
@@ -97,3 +98,16 @@ def test_dump_json_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert t1.endswith("\n")
     assert json.loads(t1) == obj
+
+
+def test_audit_markdown_adds_the_reference_comparison_when_sizes_match():
+    report = _wn18rr_like_report()
+    md = audit_markdown(report, title="Dataset overview: WN18RR")
+    rows = compare_to_reference(_wn18rr_like_report(), "wn18rr")
+    assert md == (overview_markdown(report, "Dataset overview: WN18RR") + "\n"
+                  + oov_markdown(report) + "\n" + reference_markdown("wn18rr", rows))
+    assert report["reference"] == {"dataset": "wn18rr", "rows": rows}
+    report = _wn18rr_like_report()
+    report["splits"]["train"]["n_triples"] += 1
+    assert audit_markdown(report) == overview_markdown(report) + "\n" + oov_markdown(report)
+    assert "reference" not in report

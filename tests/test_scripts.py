@@ -21,9 +21,3 @@ def test_oov_toy_experiment_runs(tmp_path):
                 "--workdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert "Wilcoxon signed-rank over 16 (include, exclude) pairs" in proc.stdout
-
-
-def test_reproduce_significance_runs():
-    proc = _run("reproduce_significance.py")
-    assert proc.returncode == 0, proc.stderr
-    assert "wn18rr" in proc.stdout and "KEEP" not in proc.stdout

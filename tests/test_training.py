@@ -22,7 +22,7 @@ from conftest import make_dataset, random_kg
 def test_augment_reciprocal_single_triple():
     vocab = build_vocabulary([("a", "p", "b")])
     augmented, extended = augment_reciprocal([Triple(0, 0, 1)], vocab)
-    assert augmented == [Triple(0, 0, 1), Triple(1, 1, 0)]
+    assert augmented.tolist() == [[0, 0, 1], [1, 1, 0]]
     assert extended.n_relations == 2
     assert extended.relations == ("p", "p_inv")
     assert extended.entities == vocab.entities
@@ -31,7 +31,7 @@ def test_augment_reciprocal_single_triple():
 def test_augment_reciprocal_empty_train_still_doubles_relations():
     vocab = build_vocabulary([("a", "p", "b"), ("b", "q", "a")])
     augmented, extended = augment_reciprocal([], vocab)
-    assert augmented == []
+    assert augmented.tolist() == []
     assert extended.n_relations == 4
 
 
@@ -193,8 +193,8 @@ def test_train_update_locality_and_oov_rows_untouched():
     result = train(ds, config)
     baseline = init_params(config.model, ds.vocab.n_entities, ds.vocab.n_relations,
                            config.dim, config.seed)
-    train_ents = {t for tr in ds.train for t in (tr.h, tr.t)}
-    train_rels = {tr.r for tr in ds.train}
+    train_ents = {e for h, _, t in ds.train.tolist() for e in (h, t)}
+    train_rels = {r for _, r, _ in ds.train.tolist()}
     mutated_ents = {i for i in range(ds.vocab.n_entities)
                     if not np.array_equal(result.params.entities[i], baseline.entities[i])}
     mutated_rels = {i for i in range(ds.vocab.n_relations)
