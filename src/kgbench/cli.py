@@ -5,11 +5,14 @@ Exit codes are stable so the tool can gate CI pipelines:
 * 0  success (audit: dataset has no OOV)
 * 3  audit only: OOV entities/relations present
 * 64 usage error
-* 65 data error (parse failures, duplicate/overlapping splits, degenerate
-  stats, invalid training settings, a training loss that goes non-finite)
+* 65 data error (parse failures, including CRLF line endings and a leading
+  UTF-8 byte order mark; duplicate/overlapping splits, degenerate stats,
+  invalid training settings, a training loss that goes non-finite)
 * 66 missing input file
 * 73 refusing to (over)write the output directory
-* 74 I/O or checkpoint error (including vocabulary-hash mismatch)
+* 74 I/O or checkpoint error (including vocabulary-hash mismatch, and
+  metadata that is not a JSON object with the expected fields, or whose
+  kind and dim do not fit the table shapes)
 """
 
 from __future__ import annotations

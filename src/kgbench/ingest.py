@@ -1,10 +1,11 @@
 """Benchmark file I/O: parse triple files, assemble datasets, write corrections.
 
-File format: UTF-8 text, one ``head<TAB>relation<TAB>tail`` triple per line
-(LF line endings). Labels are opaque byte strings after UTF-8 validation;
-nothing is case-folded or normalized, since benchmark labels such as
-Freebase mids would silently merge otherwise. Some YAGO3-10 distributions
-use spaces, hence the any-whitespace separator fallback.
+File format: UTF-8 text without a byte order mark, one
+``head<TAB>relation<TAB>tail`` triple per line (LF line endings). Labels
+are opaque byte strings after UTF-8 validation; nothing is case-folded or
+normalized, since benchmark labels such as Freebase mids would silently
+merge otherwise. Some YAGO3-10 distributions use spaces, hence the
+any-whitespace separator fallback.
 """
 
 from __future__ import annotations
@@ -71,13 +72,17 @@ def parse_triples(data: bytes, separator: str = "tab",
     """Parse one split file; preserves file order, labels verbatim.
 
     Trailing empty lines are ignored; any other line must have exactly three
-    fields and no carriage return, or a :class:`ParseError` carrying its
-    1-based line number is raised.
+    fields and no carriage return, and the file must not start with a byte
+    order mark, or a :class:`ParseError` carrying its 1-based line number is
+    raised.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"{path or 'input'} is not valid UTF-8: {exc}") from exc
+    if text.startswith("\ufeff"):  # else the mark would join the first label
+        raise ParseError("byte order mark (U+FEFF) found; split files must be UTF-8 "
+                         "without a BOM", 1, path)
     if "\r" in text:
         raise ParseError("carriage return found; split files must use LF line endings",
                          text.count("\n", 0, text.index("\r")) + 1, path)

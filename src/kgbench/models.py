@@ -8,6 +8,13 @@ Four classics are implemented over plain numpy arrays:
 * ``complex``:  Re <e_h, w_r, conj(e_t)> over complex-valued embeddings,
   stored as real arrays of width 2d (real half then imaginary half)
 
+Each model's algebra is written once, as slot queries. Leave one slot of
+``(h, r, t)`` out: its query is the vector, built from the other two rows,
+that the slot's own row meets in the score. TransE scores the negated
+distance between the two; the others their dot product, so there the query
+is also the score's gradient by that row. ``score``, ``grad`` and
+``score_all_*`` (a table times one query) all build on these queries.
+
 Scores are uniformly "higher is better" (TransE returns the negated
 distance), which keeps the ranking engine model-agnostic. Parameter rows
 exist for every entity/relation in the union vocabulary; rows for ids that
@@ -32,6 +39,10 @@ MODEL_KINDS = ("rescal", "transe", "distmult", "complex")
 CHECKPOINT_FORMAT = "kgbench-checkpoint-v1"
 TRANSE_NORM = "l2"
 
+#: The checkpoint metadata fields that loading reads, with their JSON types.
+_META_FIELDS = {"kind": str, "dim": int, "n_entities": int, "n_relations": int,
+                "vocab_sha256": str}
+
 
 class CheckpointError(ValueError):
     pass
@@ -54,6 +65,14 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        entity_row, relation_row = _row_shapes(self.kind, self.dim)
+        if self.entities.shape[1:] != entity_row or self.relations.shape[1:] != relation_row:
+            raise ValueError(
+                f"{self.kind} with dim {self.dim} needs entity rows of shape {entity_row} and "
+                f"relation rows of shape {relation_row}, not tables of shape "
+                f"{self.entities.shape} and {self.relations.shape}")
 
     @property
     def n_entities(self) -> int:
@@ -75,6 +94,12 @@ class ModelParams:
             raise IndexError(f"relation id {r} out of range [0, {self.n_relations})")
 
 
+def _row_shapes(kind: str, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The shape of one entity row and of one relation row."""
+    width = 2 * dim if kind == "complex" else dim
+    return (width,), ((dim, dim) if kind == "rescal" else (width,))
+
+
 def _xavier_bound(fan_in: int, fan_out: int) -> float:
     return math.sqrt(6.0 / (fan_in + fan_out))
 
@@ -89,18 +114,12 @@ def init_params(kind: str, n_entities: int, n_relations: int, dim: int,
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
     rng = np.random.default_rng(seed)
-    width = 2 * dim if kind == "complex" else dim
-    a_e = _xavier_bound(n_entities, width)
-    entities = rng.uniform(-a_e, a_e, size=(n_entities, width))
-    if kind == "rescal":
-        a_r = _xavier_bound(dim, dim)
-        relations = rng.uniform(-a_r, a_r, size=(n_relations, dim, dim))
-    else:
-        a_r = _xavier_bound(n_relations, width)
-        relations = rng.uniform(-a_r, a_r, size=(n_relations, width))
+    entity_row, relation_row = _row_shapes(kind, dim)
+    a_e = _xavier_bound(n_entities, entity_row[0])
+    entities = rng.uniform(-a_e, a_e, size=(n_entities,) + entity_row)
+    a_r = _xavier_bound(dim if kind == "rescal" else n_relations, relation_row[0])
+    relations = rng.uniform(-a_r, a_r, size=(n_relations,) + relation_row)
     return ModelParams(kind, dim, entities, relations)
 
 
@@ -145,6 +164,28 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=1)
 
 
+def _query(kind: str, dim: int, slot: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The slot query: the vector that ``slot``'s parameter row meets in the score.
+
+    ``a`` and ``b`` are the rows of the other two slots in ``(h, r, t)``
+    order: ``(w_r, e_t)`` for ``"h"``, ``(e_h, e_t)`` for ``"r"`` and
+    ``(e_h, w_r)`` for ``"t"``. Each is one row or one row per triple; a
+    RESCAL relation row is one ``(d, d)`` matrix that every triple shares.
+    """
+    if kind == "distmult":
+        return a * b
+    if kind == "transe":
+        return a + b if slot == "t" else b - a
+    if kind == "rescal":
+        if slot == "r":
+            return a[..., :, None] * b[..., None, :]
+        return a @ b if slot == "t" else b @ a.T
+    are, aim, bre, bim = a[..., :dim], a[..., dim:], b[..., :dim], b[..., dim:]
+    if slot == "t":  # e_h * w_r
+        return np.concatenate([are * bre - aim * bim, are * bim + aim * bre], axis=-1)
+    return np.concatenate([are * bre + aim * bim, are * bim - aim * bre], axis=-1)  # conj(a) * b
+
+
 def score(params: ModelParams, h, r, t) -> float | np.ndarray:
     """Plausibility score; deterministic, higher is better.
 
@@ -154,89 +195,46 @@ def score(params: ModelParams, h, r, t) -> float | np.ndarray:
     scalar = np.ndim(h) == np.ndim(r) == np.ndim(t) == 0
     h, r, t = _id_arrays(params, h, r, t)
     E, R = params.entities, params.relations
-    kind = params.kind
+    kind, dim = params.kind, params.dim
     if kind == "rescal":  # one matmul per relation: no (m, d, d) gather
         order, blocks = _relation_blocks(r)
         eh, et = E[h[order]], E[t[order]]
         out = np.empty(h.shape)
         for rel, block in blocks:
-            out[order[block]] = _rowdot(eh[block] @ R[rel], et[block])
-        return float(out[0]) if scalar else out
-    eh, rel, et = E[h], R[r], E[t]
-    if kind == "distmult":
-        out = _rowdot(eh * rel, et)
-    elif kind == "transe":
-        out = -np.linalg.norm(eh + rel - et, axis=1)
-    else:  # complex
-        d = params.dim
-        hre, him = eh[:, :d], eh[:, d:]
-        rre, rim = rel[:, :d], rel[:, d:]
-        tre, tim = et[:, :d], et[:, d:]
-        out = _rowdot(hre * rre - him * rim, tre) + _rowdot(hre * rim + him * rre, tim)
+            out[order[block]] = _rowdot(_query(kind, dim, "t", eh[block], R[rel]), et[block])
+    else:
+        q, et = _query(kind, dim, "t", E[h], R[r]), E[t]
+        out = -np.linalg.norm(q - et, axis=1) if kind == "transe" else _rowdot(q, et)
     return float(out[0]) if scalar else out
+
+
+def _score_all(params: ModelParams, slot: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Scores of every row of ``slot``'s table against one slot query."""
+    q = _query(params.kind, params.dim, slot, a, b)
+    table = params.relations if slot == "r" else params.entities
+    if q.ndim == 2:  # RESCAL's relation query meets its table flattened to (|R|, d*d)
+        q, table = q.ravel(), table.reshape(len(table), -1)
+    if params.kind == "transe":
+        return -np.linalg.norm(q - table, axis=1)
+    return table @ q
 
 
 def score_all_tails(params: ModelParams, h: int, r: int) -> np.ndarray:
     """Scores of (h, r, x) for every entity x, as one vectorized pass."""
     params.check_ids(h=h, r=r)
-    eh = params.entities[h]
-    rel = params.relations[r]
-    E = params.entities
-    kind = params.kind
-    if kind == "distmult":
-        return E @ (eh * rel)
-    if kind == "transe":
-        return -np.linalg.norm((eh + rel) - E, axis=1)
-    if kind == "rescal":
-        return E @ (eh @ rel)
-    d = params.dim
-    hre, him = eh[:d], eh[d:]
-    rre, rim = rel[:d], rel[d:]
-    a = hre * rre - him * rim
-    b = hre * rim + him * rre
-    return E[:, :d] @ a + E[:, d:] @ b
+    return _score_all(params, "t", params.entities[h], params.relations[r])
 
 
 def score_all_heads(params: ModelParams, r: int, t: int) -> np.ndarray:
     """Scores of (x, r, t) for every entity x."""
     params.check_ids(r=r, t=t)
-    et = params.entities[t]
-    rel = params.relations[r]
-    E = params.entities
-    kind = params.kind
-    if kind == "distmult":
-        return E @ (rel * et)
-    if kind == "transe":
-        return -np.linalg.norm(E + (rel - et), axis=1)
-    if kind == "rescal":
-        return E @ (rel @ et)
-    d = params.dim
-    rre, rim = rel[:d], rel[d:]
-    tre, tim = et[:d], et[d:]
-    u = rre * tre + rim * tim
-    v = rre * tim - rim * tre
-    return E[:, :d] @ u + E[:, d:] @ v
+    return _score_all(params, "h", params.relations[r], params.entities[t])
 
 
 def score_all_relations(params: ModelParams, h: int, t: int) -> np.ndarray:
     """Scores of (h, x, t) for every relation x."""
     params.check_ids(h=h, t=t)
-    eh = params.entities[h]
-    et = params.entities[t]
-    R = params.relations
-    kind = params.kind
-    if kind == "distmult":
-        return R @ (eh * et)
-    if kind == "transe":
-        return -np.linalg.norm(R + (eh - et), axis=1)
-    if kind == "rescal":
-        return R.reshape(R.shape[0], -1) @ np.outer(eh, et).ravel()
-    d = params.dim
-    hre, him = eh[:d], eh[d:]
-    tre, tim = et[:d], et[d:]
-    u = hre * tre + him * tim
-    v = hre * tim - him * tre
-    return R[:, :d] @ u + R[:, d:] @ v
+    return _score_all(params, "r", params.entities[h], params.entities[t])
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +273,7 @@ def grad(params: ModelParams, h, r, t, upstream=1.0) -> SparseGrad:
     h, r, t = _id_arrays(params, h, r, t)
     u = np.broadcast_to(np.asarray(upstream, dtype=np.float64), h.shape)[:, None]
     E, R = params.entities, params.relations
-    kind = params.kind
+    kind, dim = params.kind, params.dim
     if kind == "rescal":  # one matmul per relation: no (m, d, d) gather
         order, blocks = _relation_blocks(r)
         h, t, u = h[order], t[order], u[order]  # rows are reduced by id below
@@ -284,27 +282,19 @@ def grad(params: ModelParams, h, r, t, upstream=1.0) -> SparseGrad:
         relation_ids = np.array([rel for rel, _ in blocks], dtype=np.int64)
         relation_rows = np.empty((len(blocks),) + R.shape[1:])
         for i, (rel, block) in enumerate(blocks):
-            gh[block] = et[block] @ R[rel].T
-            gt[block] = eh[block] @ R[rel]
-            relation_rows[i] = (u[block] * eh[block]).T @ et[block]
+            gh[block] = _query(kind, dim, "h", R[rel], et[block])
+            gt[block] = _query(kind, dim, "t", eh[block], R[rel])
+            relation_rows[i] = (u[block] * eh[block]).T @ et[block]  # sum of u * outer(e_h, e_t)
     else:
-        eh, et = E[h], E[t]
-        rel = R[r]
-        if kind == "distmult":
-            gh, gr, gt = rel * et, eh * et, eh * rel
-        elif kind == "transe":
-            delta = eh + rel - et
+        eh, rel, et = E[h], R[r], E[t]
+        if kind == "transe":
+            delta = _query(kind, dim, "t", eh, rel) - et
             nrm = np.linalg.norm(delta, axis=1, keepdims=True)
             unit = np.divide(delta, nrm, out=np.zeros_like(delta), where=nrm != 0.0)
             gh, gr, gt = -unit, -unit, unit
-        else:  # complex
-            d = params.dim
-            hre, him = eh[:, :d], eh[:, d:]
-            rre, rim = rel[:, :d], rel[:, d:]
-            tre, tim = et[:, :d], et[:, d:]
-            gh = np.concatenate([rre * tre + rim * tim, rre * tim - rim * tre], axis=1)
-            gr = np.concatenate([hre * tre + him * tim, hre * tim - him * tre], axis=1)
-            gt = np.concatenate([hre * rre - him * rim, hre * rim + him * rre], axis=1)
+        else:
+            gh, gr, gt = (_query(kind, dim, "h", rel, et), _query(kind, dim, "r", eh, et),
+                          _query(kind, dim, "t", eh, rel))
         relation_ids, relation_rows = _reduce_rows(r, u * gr)
     entity_ids, entity_rows = _reduce_rows(np.concatenate([h, t]),
                                            np.concatenate([u * gh, u * gt]))
@@ -342,7 +332,8 @@ def save_checkpoint(params: ModelParams, path: Path, vocab,
 
 def load_checkpoint(path: Path, expected_vocab_sha256: str | None = None
                     ) -> tuple[ModelParams, dict]:
-    """Load a checkpoint; refuses vocab-hash mismatches and non-finite values.
+    """Load a checkpoint; refuses vocab-hash mismatches and non-finite values,
+    and metadata that is not a JSON object with fields that fit the tables.
 
     The returned metadata carries ``entity_labels``/``relation_labels`` lists
     in addition to the stored JSON fields.
@@ -358,12 +349,17 @@ def load_checkpoint(path: Path, expected_vocab_sha256: str | None = None
             meta = json.loads(str(data["meta"]))
             entities = np.asarray(data["entities"], dtype=np.float64)
             relations = np.asarray(data["relations"], dtype=np.float64)
-            meta["entity_labels"] = data["entity_labels"].tolist()
-            meta["relation_labels"] = data["relation_labels"].tolist()
+            labels = data["entity_labels"].tolist(), data["relation_labels"].tolist()
         except KeyError as exc:
             raise CheckpointError(f"{path}: missing checkpoint entry {exc}") from exc
-    if meta.get("format") != CHECKPOINT_FORMAT:
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"{path}: checkpoint metadata is not JSON ({exc})") from exc
+    if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    bad = [key for key, typ in _META_FIELDS.items() if not isinstance(meta.get(key), typ)]
+    if bad:
+        raise CheckpointError(f"{path}: checkpoint metadata lacks a valid {', '.join(bad)}")
+    meta["entity_labels"], meta["relation_labels"] = labels
     if expected_vocab_sha256 is not None and meta["vocab_sha256"] != expected_vocab_sha256:
         raise CheckpointError(
             f"{path}: checkpoint vocabulary hash {meta['vocab_sha256'][:12]}... does not "
@@ -371,7 +367,10 @@ def load_checkpoint(path: Path, expected_vocab_sha256: str | None = None
         )
     if not (np.isfinite(entities).all() and np.isfinite(relations).all()):
         raise CheckpointError(f"{path}: checkpoint contains non-finite parameters")
-    params = ModelParams(meta["kind"], int(meta["dim"]), entities, relations)
+    try:
+        params = ModelParams(meta["kind"], meta["dim"], entities, relations)
+    except ValueError as exc:  # an unknown kind, or tables that do not fit kind and dim
+        raise CheckpointError(f"{path}: {exc}") from exc
     if params.n_entities != meta["n_entities"] or params.n_relations != meta["n_relations"]:
         raise CheckpointError(f"{path}: array shapes disagree with metadata")
     return params, meta

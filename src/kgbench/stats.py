@@ -132,11 +132,10 @@ def _normal_two_sided_p(w_plus: float, w_minus: float, n_nonzero: int,
 
 
 def wilcoxon_signed_rank(samples: Sequence[PairedSample],
-                         zero_policy: str = "discard",
-                         exact_cutoff: int = EXACT_CUTOFF) -> TestResult:
+                         zero_policy: str = "discard") -> TestResult:
     """Two-sided test of the null that paired differences are symmetric about 0.
 
-    Exact enumeration for n_used <= ``exact_cutoff`` nonzero differences,
+    Exact enumeration for n_used <= ``EXACT_CUTOFF`` nonzero differences,
     normal approximation (tie + continuity corrected) above.
     """
     if zero_policy not in ("discard", "pratt"):
@@ -158,7 +157,7 @@ def wilcoxon_signed_rank(samples: Sequence[PairedSample],
     w_plus = float(nz_ranks[d > 0].sum())
     w_minus = float(nz_ranks[d < 0].sum())
     n_used = len(d)
-    if n_used <= exact_cutoff:
+    if n_used <= EXACT_CUTOFF:
         method = "exact-enumeration"
         doubled = [int(round(2.0 * r)) for r in nz_ranks.tolist()]
         p = _exact_two_sided_p(doubled, int(round(2.0 * w_plus)))

@@ -78,6 +78,19 @@ def test_audit_crlf_dataset_exit_65(tmp_path, capsys):
     assert "train.txt:1" in err and "LF line endings" in err
 
 
+def test_audit_bom_dataset_exit_65(tmp_path, capsys):
+    # a byte order mark would otherwise join the first label: "\ufeffa" is
+    # not "a", so "a" would read as OOV in valid and test
+    d = tmp_path / "bom"
+    d.mkdir()
+    (d / "train.txt").write_bytes(b"\xef\xbb\xbfa\tr\tb\nb\tr\tc\n")
+    (d / "valid.txt").write_bytes(b"b\tr\ta\n")
+    (d / "test.txt").write_bytes(b"c\tr\ta\n")
+    assert main(["audit", "--data", str(d)]) == 65
+    err = capsys.readouterr().err
+    assert "train.txt:1" in err and "byte order mark" in err
+
+
 def test_audit_missing_file_exit_66(tmp_path, capsys):
     d = write_split_files(tmp_path / "partial", [("a", "p", "b")], [("a", "p", "c")],
                           [("c", "p", "a")])
@@ -177,7 +190,28 @@ def test_eval_bad_checkpoint_exit_codes(clean_dir, tmp_path, capsys):
     with open(bare_array, "wb") as fh:
         np.save(fh, np.zeros(3))
     capsys.readouterr()
-    for path in (truncated, not_npz, bare_array):
+    with np.load(ckpt) as z:
+        entries = dict(z)
+    meta = json.loads(str(entries["meta"]))
+
+    def rewritten(name, meta_text, **arrays):
+        path = tmp_path / name
+        np.savez(path, **{**entries, **arrays, "meta": np.array(meta_text)})
+        return path
+
+    malformed = [
+        rewritten("no_kind.npz", json.dumps({k: v for k, v in meta.items() if k != "kind"})),
+        rewritten("list_meta.npz", json.dumps(list(meta.items()))),
+        rewritten("not_json.npz", "{kind: distmult"),
+        rewritten("wrong_dim.npz", json.dumps({**meta, "dim": meta["dim"] + 1})),
+        rewritten("zero_dim.npz", json.dumps({**meta, "dim": 0}),
+                  entities=entries["entities"][:, :0], relations=entries["relations"][:, :0]),
+        # ComplEx-width tables relabelled as DistMult
+        rewritten("wrong_kind.npz", json.dumps(meta),
+                  entities=np.hstack([entries["entities"]] * 2),
+                  relations=np.hstack([entries["relations"]] * 2)),
+    ]
+    for path in (truncated, not_npz, bare_array, *malformed):
         assert main(["eval", "--data", str(clean_dir), "--checkpoint", str(path)]) == 74
         assert str(path) in capsys.readouterr().err
     missing = tmp_path / "missing.npz"

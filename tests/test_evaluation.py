@@ -1,10 +1,11 @@
 import json
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kgbench import (
     ModelParams,
@@ -25,7 +26,7 @@ from kgbench.evaluation import (
     rank_records,
 )
 from kgbench.ingest import DatasetLayout
-from kgbench.models import MODEL_KINDS
+from kgbench.models import MODEL_KINDS, align_params_to_vocab
 
 from conftest import make_dataset, random_kg, write_split_files
 from oracles import brute_force_rank
@@ -224,6 +225,49 @@ def test_exclude_equals_corrected_include(tmp_path, kind):
         ra = evaluate_relation_prediction(params, raw, split=split, policy="exclude")
         rb = evaluate_relation_prediction(params_corr, corrected, split=split, policy="include")
         assert ra.mrr == rb.mrr and ra.hits == rb.hits
+
+
+@st.composite
+def _oov_kgs(draw):
+    """Labeled (train, valid, test) whose valid/test draw on entities and a
+    relation that train may lack; each split keeps one in-vocabulary triple
+    so that the corrected split files are never empty."""
+    ents = [f"e{i}" for i in range(draw(st.integers(2, 6)))]
+    rels = [f"r{i}" for i in range(draw(st.integers(1, 3)))]
+    train_0, valid_0, test_0 = ("e0", "r0", "e1"), ("e1", "r0", "e0"), ("e0", "r0", "e0")
+    fixed = {train_0, valid_0, test_0}
+
+    def triples(e, r):
+        return st.tuples(st.sampled_from(e), st.sampled_from(r), st.sampled_from(e)).filter(
+            lambda tr: tr not in fixed)
+
+    train = [train_0] + draw(st.lists(triples(ents, rels), max_size=12, unique=True))
+    seen = set(train)
+    held_out = draw(st.lists(triples(ents + ["o0", "o1"], rels + ["q"]).filter(
+        lambda tr: tr not in seen), max_size=10, unique=True))
+    cut = draw(st.integers(0, len(held_out)))
+    return train, [valid_0] + held_out[:cut], [test_0] + held_out[cut:]
+
+
+@given(_oov_kgs(), st.sampled_from(MODEL_KINDS),
+       st.sampled_from(["mean", "optimistic", "pessimistic"]), st.booleans(), st.integers(0, 2**16))
+@settings(max_examples=15)
+def test_exclude_equals_corrected_include_property(kg, kind, tie, reciprocal, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = load_dataset(DatasetLayout(dir=write_split_files(Path(tmp) / "raw", *kg)))
+        write_corrected(raw, detect_oov(raw), Path(tmp) / "corrected")
+        corrected = load_dataset(DatasetLayout(dir=Path(tmp) / "corrected"))
+    n_rel = raw.vocab.n_relations * (2 if reciprocal else 1)
+    params = init_params(kind, raw.vocab.n_entities, n_rel, 3, seed=seed)
+    params_corr = align_params_to_vocab(params, list(raw.vocab.entities),
+                                        list(raw.vocab.relations), corrected.vocab, reciprocal)
+    for split in ("valid", "test"):
+        a = evaluate(params, raw, split, "exclude", tie, reciprocal)
+        b = evaluate(params_corr, corrected, split, "include", tie, reciprocal)
+        assert (a.mrr, a.hits, a.n_triples) == (b.mrr, b.hits, b.n_triples)
+        per_a = {raw.vocab.relation_label(r): v for r, v in a.per_relation_mrr.items()}
+        per_b = {corrected.vocab.relation_label(r): v for r, v in b.per_relation_mrr.items()}
+        assert per_a == per_b
 
 
 def test_exclude_policy_ignores_oov_parameter_rows(tmp_path):

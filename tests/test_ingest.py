@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kgbench import DatasetError, ParseError, detect_oov, load_dataset, parse_triples, write_corrected
 from kgbench.ingest import DatasetLayout, EncodingError
@@ -54,6 +55,25 @@ def test_parse_invalid_utf8():
 
 def test_parse_whitespace_separator():
     assert parse_triples(b"a  p\tb\n", separator="ws") == [("a", "p", "b")]
+
+
+# fragments that make likely edge cases of a split file: separators, line
+# ends, a byte order mark and an invalid UTF-8 byte
+_FRAGMENTS = st.sampled_from([b"a", b"\xc3\xa9", b"\t", b" ", b"\n", b"\r", b"\xef\xbb\xbf",
+                              b"\xff", b"\x00"])
+
+
+@given(st.one_of(st.binary(max_size=64), st.lists(_FRAGMENTS, max_size=24).map(b"".join)),
+       st.sampled_from(["tab", "ws"]))
+def test_parse_returns_str_triples_or_raises(data, separator):
+    try:
+        triples = parse_triples(data, separator)
+    except (ParseError, EncodingError):
+        return
+    for triple in triples:
+        assert type(triple) is tuple and len(triple) == 3
+        assert all(type(label) is str for label in triple)
+    assert not triples or not triples[0][0].startswith("\ufeff")
 
 
 def _toy_files(tmp_path: Path) -> Path:

@@ -232,6 +232,17 @@ def test_init_params_shapes():
     assert p.entities.shape == (9, 10) and p.relations.shape == (4, 10)
 
 
+def test_model_params_refuse_tables_that_do_not_fit_kind_and_dim():
+    for kind, dim, ent, rel in (("distmult", 4, (3, 8), (2, 8)),  # ComplEx-width tables
+                                ("complex", 4, (3, 4), (2, 4)),
+                                ("rescal", 4, (3, 4), (2, 4)),  # relation rows are d x d
+                                ("transe", 4, (3, 4, 1), (2, 4)),
+                                ("distmult", 0, (3, 0), (2, 0))):
+        with pytest.raises(ValueError):
+            ModelParams(kind, dim, np.ones(ent), np.ones(rel))
+    ModelParams("rescal", 4, np.ones((3, 4)), np.ones((2, 4, 4)))
+
+
 def test_init_params_mean_near_zero():
     p = init_params("distmult", 100, 3, 64, seed=12)
     assert abs(p.entities.mean()) < 0.01

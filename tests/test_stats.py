@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats as sps
 
+from kgbench import stats
 from kgbench.evaluation import MetricsReport
 from kgbench.stats import (
     DegenerateSampleError,
@@ -94,12 +95,13 @@ def test_exact_invariant_under_negation_and_relabeling(diffs):
     assert wilcoxon_signed_rank(mk(shuffled)).p_value == base.p_value
 
 
-def test_normal_approximation_close_to_exact_at_n20():
+def test_normal_approximation_close_to_exact_at_n20(monkeypatch):
     rng = np.random.default_rng(8)
-    for _ in range(10):
-        d = rng.normal(loc=0.3, size=20)
-        exact = wilcoxon_signed_rank(mk(d), exact_cutoff=20)
-        approx = wilcoxon_signed_rank(mk(d), exact_cutoff=0)
+    samples = [mk(rng.normal(loc=0.3, size=20)) for _ in range(10)]
+    exacts = [wilcoxon_signed_rank(s) for s in samples]  # n = 20 = EXACT_CUTOFF
+    monkeypatch.setattr(stats, "EXACT_CUTOFF", 0)
+    for exact, s in zip(exacts, samples):
+        approx = wilcoxon_signed_rank(s)
         assert exact.method == "exact-enumeration"
         assert approx.method == "normal-approximation"
         assert abs(exact.p_value - approx.p_value) < 0.01
