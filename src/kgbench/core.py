@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -200,8 +200,9 @@ class FilterIndex:
     ``triples``, ``by_rt`` and ``by_ht`` are the sorted :func:`_keys` of
     ``(h, r, t)``, ``(r, t, h)`` and ``(h, t, r)`` with base ``n``, so the
     known tails of ``(h, r)`` are one run of ``triples`` found by two binary
-    searches; likewise heads and relations. Duplicate keys are harmless, as
-    lookups return sets.
+    searches; likewise heads and relations. :meth:`runs` finds the runs of
+    many pairs at once, with two vectorised searches. Duplicate keys are
+    harmless to the set lookups, which return sets.
     """
 
     n: int
@@ -209,15 +210,30 @@ class FilterIndex:
     by_rt: np.ndarray = field(repr=False)
     by_ht: np.ndarray = field(repr=False)
 
-    _EMPTY: ClassVar[frozenset[int]] = frozenset()
+    def runs(self, keys: np.ndarray, a: np.ndarray, b: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """The third ids of the keys that start with ``(a[i], b[i])``, for every ``i``.
+
+        ``keys`` is one of the three key arrays. Returns ``(i, third id)``
+        arrays, one entry per matching key, grouped by ``i`` in ascending
+        order. A pair with an id outside ``[0, n)`` matches no key.
+        """
+        n = self.n
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        inside = (a >= 0) & (a < n) & (b >= 0) & (b < n)
+        lo = _keys(np.where(inside, a, 0), np.where(inside, b, 0), 0, n)
+        start = keys.searchsorted(lo)
+        length = np.where(inside, keys.searchsorted(lo + n) - start, 0)
+        query = np.repeat(np.arange(len(a)), length)
+        # position in keys = start of the query's run + place within that run
+        pos = np.arange(len(query)) + np.repeat(start - (np.cumsum(length) - length), length)
+        return query, keys[pos] - lo[query]
 
     def _run(self, keys: np.ndarray, a: int, b: int) -> frozenset[int]:
         """The third ids of the keys that start with ``(a, b)``."""
-        n = self.n
-        if not (0 <= a < n and 0 <= b < n):
-            return self._EMPTY
-        lo = (int(a) * n + int(b)) * n
-        return frozenset((keys[keys.searchsorted(lo):keys.searchsorted(lo + n)] - lo).tolist())
+        if not (0 <= a < self.n and 0 <= b < self.n):  # also ids too large for int64
+            return frozenset()
+        return frozenset(self.runs(keys, [a], [b])[1].tolist())
 
     def contains(self, triple: tuple[int, int, int]) -> bool:
         h, r, t = triple

@@ -18,12 +18,20 @@ OOV policies:
 Tie handling is configurable (optimistic / pessimistic / mean); under the
 default mean policy MRR uses the mean rank (half-integers allowed) while
 Hits@N counts ties at the boundary as misses.
+
+Ranking works a block of queries at a time (1-N scoring with filtered
+columns): one ``score_all_*`` call scores every candidate of every query
+in the block; the known-true candidates of all the block's queries come
+from the ``FilterIndex`` key arrays in one vectorised lookup and are set to
+``-inf``, as are the columns that are not candidates, except each query's
+own target; each row then counts the scores above and level with its
+target's, read from the same row. ``BLOCK_FLOATS`` bounds a block's size.
+``filtered_rank_pair`` ranks one query as a block of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -34,6 +42,13 @@ from .models import ModelParams, score_all_heads, score_all_relations, score_all
 OOV_POLICIES = ("include", "exclude")
 TIE_POLICIES = ("mean", "optimistic", "pessimistic")
 HITS_LEVELS = (1, 3, 10)
+
+#: Scores and query values that one ranked block holds, counted in float64s;
+#: it bounds the memory ranking takes whatever the split's size. At 2**17
+#: (1 MiB), TransE's two (m, N) planes stay in a 4 MiB L2 cache; larger
+#: blocks ranked a 2,000-entity KG more slowly, smaller ones read the
+#: candidate table more often.
+BLOCK_FLOATS = 2 ** 17
 
 
 class EvaluationError(ValueError):
@@ -91,47 +106,83 @@ def _check_tie(tie: str) -> None:
         raise ValueError(f"unknown tie policy {tie!r} (expected one of {TIE_POLICIES})")
 
 
-def _rank_pair(scores: np.ndarray, mask: np.ndarray, target: int,
-               tie: str) -> tuple[float, int]:
-    """(rank for MRR, integer rank for Hits@N) of target among masked candidates."""
-    s_t = scores[target]
-    if not np.isfinite(s_t):
-        raise EvaluationError(f"target score {s_t} is not finite; refusing to rank it")
-    sel = scores[mask]
-    greater = int(np.count_nonzero(sel > s_t))
-    ties_other = int(np.count_nonzero(sel == s_t)) - 1
-    optimistic = 1 + greater
-    pessimistic = optimistic + ties_other
+def _ranks(scores: np.ndarray, targets: np.ndarray, tie: str) -> tuple[np.ndarray, np.ndarray]:
+    """(rank for MRR, integer rank for Hits@N) of each row's target column.
+
+    Filtered and non-candidate columns hold ``-inf``, so they are neither
+    above nor level with a finite target score.
+    """
+    target_scores = scores[np.arange(len(targets)), targets]
+    if not np.isfinite(target_scores).all():
+        bad = target_scores[~np.isfinite(target_scores)][0]
+        raise EvaluationError(f"target score {bad} is not finite; refusing to rank it")
+    level = target_scores[:, None]
+    optimistic = 1 + np.count_nonzero(scores > level, axis=1)
+    pessimistic = optimistic + np.count_nonzero(scores == level, axis=1) - 1  # not the target
     if tie == "optimistic":
-        return float(optimistic), optimistic
+        return optimistic.astype(np.float64), optimistic
     if tie == "pessimistic":
-        return float(pessimistic), pessimistic
+        return pessimistic.astype(np.float64), pessimistic
     return (optimistic + pessimistic) / 2.0, pessimistic
 
 
-def _candidate_mask(n_rows: int, candidates: np.ndarray | None,
-                    filtered: Iterable[int], target: int) -> np.ndarray:
-    mask = np.zeros(n_rows, dtype=bool)
-    if candidates is None:
-        mask[:] = True
-    else:
-        mask[candidates] = True
-    if not mask[target]:
-        raise EvaluationError(f"target id {target} is not in the candidate set")
-    drop = [x for x in filtered if x != target]
-    if drop:
-        mask[drop] = False
-    return mask
-
-
-def _inverse_relation(params: ModelParams, r: int) -> int:
-    base = params.n_relations // 2
-    if params.n_relations % 2 or r >= base:
+def _inverse_relations(params: ModelParams, r: np.ndarray) -> np.ndarray:
+    base, odd = divmod(params.n_relations, 2)
+    bad = r[(r >= base) | bool(odd)]
+    if bad.size:
         raise EvaluationError(
-            f"cannot derive inverse of relation {r}: checkpoint has "
+            f"cannot derive inverse of relation {bad[0]}: checkpoint has "
             f"{params.n_relations} relation rows"
         )
     return base + r
+
+
+def _dropped_columns(n_columns: int, candidates: np.ndarray | None) -> np.ndarray:
+    """A mask of the score columns that are not candidates (all are, for ``None``)."""
+    dropped = np.ones(n_columns, dtype=bool)
+    dropped[slice(None) if candidates is None else candidates] = False
+    return dropped
+
+
+def _rank_block(params: ModelParams, index: FilterIndex, triples: np.ndarray,
+                direction: str, tie: str, dropped: np.ndarray,
+                reciprocal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Filtered (MRR ranks, Hits ranks) of one slot of each row of ``triples``.
+
+    One ``score_all_*`` call scores the whole block; each row's known-true
+    candidates other than its target, and the ``dropped`` columns, are set
+    to ``-inf`` before the ranks are counted.
+    """
+    h, r, t = triples.T
+    if direction == "tail":
+        scores = score_all_tails(params, h, r)
+        keys, a, b, targets = index.triples, h, r, t
+    elif direction == "head":
+        if reciprocal:
+            scores = score_all_tails(params, t, _inverse_relations(params, r))
+        else:
+            scores = score_all_heads(params, r, t)
+        keys, a, b, targets = index.by_rt, r, t, h
+    elif direction == "relation":
+        scores = score_all_relations(params, h, t)
+        keys, a, b, targets = index.by_ht, h, t, r
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    query, known = index.runs(keys, a, b)
+    is_target = known == targets[query]
+    found = np.zeros(len(triples), dtype=bool)
+    found[query[is_target]] = True
+    if not found.all():
+        raise EvaluationError(
+            f"triple {tuple(triples[found.argmin()].tolist())} is not in the filter index; "
+            f"refusing to rank against unfiltered data"
+        )
+    outside = dropped[targets]
+    if outside.any():
+        raise EvaluationError(f"target id {targets[outside][0]} is not in the candidate set")
+    scores[query[~is_target], known[~is_target]] = -np.inf
+    scores[:, dropped] = -np.inf
+    return _ranks(scores, targets, tie)
 
 
 def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, t: int,
@@ -144,32 +195,14 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
     removed (the query triple itself survives). ``candidates`` optionally
     restricts the candidate ids (used by the exclude policy and by
     reciprocal checkpoints whose parameter tables exceed the vocabulary).
+    This is the block ranker of ``evaluate`` applied to one query.
     """
     _check_tie(tie)
-    if direction == "tail":
-        scores = score_all_tails(params, h, r)
-        filtered: Iterable[int] = index.tails(h, r)
-        target = t
-    elif direction == "head":
-        if reciprocal:
-            scores = score_all_tails(params, t, _inverse_relation(params, r))
-        else:
-            scores = score_all_heads(params, r, t)
-        filtered = index.heads(r, t)
-        target = h
-    elif direction == "relation":
-        scores = score_all_relations(params, h, t)
-        filtered = index.relations(h, t)
-        target = r
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    if target not in filtered:
-        raise EvaluationError(
-            f"triple ({h}, {r}, {t}) is not in the filter index; refusing to rank "
-            f"against unfiltered data"
-        )
-    mask = _candidate_mask(len(scores), candidates, filtered, target)
-    return _rank_pair(scores, mask, target, tie)
+    n_columns = params.n_relations if direction == "relation" else params.n_entities
+    rank, hits_rank = _rank_block(params, index, np.array([[h, r, t]], dtype=np.int64),
+                                  direction, tie, _dropped_columns(n_columns, candidates),
+                                  reciprocal)
+    return float(rank[0]), int(hits_rank[0])
 
 
 @dataclass(frozen=True)
@@ -212,16 +245,26 @@ def _setup(params: ModelParams, dataset: SplitDataset, split: str, policy: str,
 
 def _rank_split(params: ModelParams, setup: _EvalSetup, directions: tuple[str, ...],
                 tie: str, reciprocal: bool) -> tuple[np.ndarray, np.ndarray]:
-    """MRR ranks and Hits ranks of every split triple, one column per direction."""
+    """MRR ranks and Hits ranks of every split triple, one column per direction.
+
+    Triples are ranked in blocks of as many queries as keep the block's
+    scores and queries within ``BLOCK_FLOATS`` float64s.
+    """
+    _check_tie(tie)
     shape = (len(setup.triples), len(directions))
     ranks = np.empty(shape)
     hits_ranks = np.empty(shape, dtype=np.int64)
-    for i, tr in enumerate(setup.triples.tolist()):
-        for j, direction in enumerate(directions):
-            candidates = (setup.relation_candidates if direction == "relation"
-                          else setup.entity_candidates)
-            ranks[i, j], hits_ranks[i, j] = filtered_rank_pair(
-                params, setup.index, *tr, direction, tie, candidates, reciprocal)
+    for j, direction in enumerate(directions):
+        if direction == "relation":
+            table, candidates = params.relations, setup.relation_candidates
+        else:
+            table, candidates = params.entities, setup.entity_candidates
+        dropped = _dropped_columns(len(table), candidates)
+        step = max(1, BLOCK_FLOATS // (len(table) + table[0].size))
+        for lo in range(0, shape[0], step):
+            block = slice(lo, lo + step)
+            ranks[block, j], hits_ranks[block, j] = _rank_block(
+                params, setup.index, setup.triples[block], direction, tie, dropped, reciprocal)
     return ranks, hits_ranks
 
 

@@ -13,7 +13,15 @@ Each model's algebra is written once, as slot queries. Leave one slot of
 that the slot's own row meets in the score. TransE scores the negated
 distance between the two; the others their dot product, so there the query
 is also the score's gradient by that row. ``score``, ``grad`` and
-``score_all_*`` (a table times one query) all build on these queries.
+``score_all_*`` all build on these queries.
+
+``score`` and ``grad`` take one triple or equal-length id arrays of
+triples. ``score_all_tails``, ``score_all_heads`` and
+``score_all_relations`` take the two fixed slots as ints, for one row of
+candidate scores, or as equal-length id arrays, for an ``(m, N)`` block
+with one row per query: the block of queries times the candidate table
+(``Q @ table.T``), or for TransE the negated distances, summed one
+coordinate at a time so that equal candidate rows score exactly equal.
 
 Scores are uniformly "higher is better" (TransE returns the negated
 distance), which keeps the ranking engine model-agnostic. Parameter rows
@@ -85,14 +93,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.kind, self.dim, self.entities.copy(), self.relations.copy())
 
-    def check_ids(self, h: int | None = None, r: int | None = None,
-                  t: int | None = None) -> None:
-        for eid in (h, t):
-            if eid is not None and not 0 <= eid < self.n_entities:
-                raise IndexError(f"entity id {eid} out of range [0, {self.n_entities})")
-        if r is not None and not 0 <= r < self.n_relations:
-            raise IndexError(f"relation id {r} out of range [0, {self.n_relations})")
-
 
 def _row_shapes(kind: str, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The shape of one entity row and of one relation row."""
@@ -123,19 +123,20 @@ def init_params(kind: str, n_entities: int, n_relations: int, dim: int,
     return ModelParams(kind, dim, entities, relations)
 
 
-def _id_arrays(params: ModelParams, h, r, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``h``, ``r`` and ``t`` as equal-length 1-d id arrays, range-checked."""
-    h, r, t = (np.atleast_1d(np.asarray(x)) for x in (h, r, t))
-    if h.ndim != 1 or not h.shape == r.shape == t.shape:
-        raise ValueError("h, r and t must be ints or equal-length 1-d id arrays")
-    for ids, n, what in ((h, params.n_entities, "entity"), (r, params.n_relations, "relation"),
-                         (t, params.n_entities, "entity")):
-        if ids.dtype.kind not in "iu":
-            raise TypeError(f"{what} ids must be integers, not {ids.dtype}")
-        if ids.size and (ids.min() < 0 or ids.max() >= n):
-            bad = ids[(ids < 0) | (ids >= n)][0]
+def _id_arrays(params: ModelParams, **ids) -> list[np.ndarray]:
+    """The ids given by slot name (h, r or t) as equal-length 1-d arrays, range-checked."""
+    arrays = [np.atleast_1d(np.asarray(x)) for x in ids.values()]
+    if arrays[0].ndim != 1 or any(x.shape != arrays[0].shape for x in arrays):
+        raise ValueError(f"{', '.join(ids)} must be ints or equal-length 1-d id arrays")
+    for slot, x in zip(ids, arrays):
+        n, what = ((params.n_relations, "relation") if slot == "r"
+                   else (params.n_entities, "entity"))
+        if x.dtype.kind not in "iu":
+            raise TypeError(f"{what} ids must be integers, not {x.dtype}")
+        if x.size and (x.min() < 0 or x.max() >= n):
+            bad = x[(x < 0) | (x >= n)][0]
             raise IndexError(f"{what} id {bad} out of range [0, {n})")
-    return h, r, t
+    return arrays
 
 
 def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,6 +187,27 @@ def _query(kind: str, dim: int, slot: str, a: np.ndarray, b: np.ndarray) -> np.n
     return np.concatenate([are * bre + aim * bim, are * bim - aim * bre], axis=-1)  # conj(a) * b
 
 
+def _queries(params: ModelParams, slot: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The slot query of each triple, one row per triple.
+
+    ``a`` and ``b`` are the id arrays of the other two slots, in ``(h, r, t)``
+    order. RESCAL's relation query is a ``(d, d)`` matrix per triple.
+    """
+    E, R = params.entities, params.relations
+    kind, dim = params.kind, params.dim
+    if kind == "rescal" and slot != "r":  # one matmul per relation: no (m, d, d) gather
+        r, e = (a, b) if slot == "h" else (b, a)
+        order, blocks = _relation_blocks(r)
+        rows = E[e[order]]
+        q = np.empty_like(rows)
+        for rel, block in blocks:
+            pair = (R[rel], rows[block]) if slot == "h" else (rows[block], R[rel])
+            q[order[block]] = _query(kind, dim, slot, *pair)
+        return q
+    a_table, b_table = (E, E) if slot == "r" else (R, E) if slot == "h" else (E, R)
+    return _query(kind, dim, slot, a_table[a], b_table[b])
+
+
 def score(params: ModelParams, h, r, t) -> float | np.ndarray:
     """Plausibility score; deterministic, higher is better.
 
@@ -193,48 +215,72 @@ def score(params: ModelParams, h, r, t) -> float | np.ndarray:
     arrays, a float64 array holding the score of each ``(h[i], r[i], t[i])``.
     """
     scalar = np.ndim(h) == np.ndim(r) == np.ndim(t) == 0
-    h, r, t = _id_arrays(params, h, r, t)
-    E, R = params.entities, params.relations
-    kind, dim = params.kind, params.dim
-    if kind == "rescal":  # one matmul per relation: no (m, d, d) gather
-        order, blocks = _relation_blocks(r)
-        eh, et = E[h[order]], E[t[order]]
-        out = np.empty(h.shape)
-        for rel, block in blocks:
-            out[order[block]] = _rowdot(_query(kind, dim, "t", eh[block], R[rel]), et[block])
-    else:
-        q, et = _query(kind, dim, "t", E[h], R[r]), E[t]
-        out = -np.linalg.norm(q - et, axis=1) if kind == "transe" else _rowdot(q, et)
+    h, r, t = _id_arrays(params, h=h, r=r, t=t)
+    q, et = _queries(params, "t", h, r), params.entities[t]
+    out = -np.linalg.norm(q - et, axis=1) if params.kind == "transe" else _rowdot(q, et)
     return float(out[0]) if scalar else out
 
 
-def _score_all(params: ModelParams, slot: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Scores of every row of ``slot``'s table against one slot query."""
-    q = _query(params.kind, params.dim, slot, a, b)
+def _negated_distances(q: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``-||q[i] - table[j]||`` for every query row ``i`` and table row ``j``.
+
+    The squares are summed one coordinate at a time over ``(m, N)`` planes,
+    so each distance is summed in coordinate order whatever ``m`` is, and
+    equal table rows get equal distances. (Expanding ``|q|^2 + |e|^2 - 2q.e``
+    would be faster but rounds differently and breaks exact ties.)
+    """
+    q_columns = np.ascontiguousarray(q.T)[:, :, None]
+    table_columns = np.empty((table.shape[1], len(table)))
+    for lo in range(0, len(table), 128):  # one transposing copy of a large table misses cache
+        table_columns[:, lo:lo + 128] = table[lo:lo + 128].T
+    total = np.empty((len(q), len(table)))
+    diff = np.empty_like(total)
+    for k in range(q.shape[1]):
+        plane = diff if k else total
+        np.copyto(plane, q_columns[k])  # then subtract in place: faster than q - e in one call
+        plane -= table_columns[k]
+        plane *= plane
+        if k:
+            total += diff
+    np.sqrt(total, out=total)
+    return np.negative(total, out=total)
+
+
+def _score_all(params: ModelParams, slot: str, a, b) -> np.ndarray:
+    """Scores of every row of ``slot``'s table against the slot query of each pair ``(a, b)``.
+
+    ``a`` and ``b`` are the other two slots' ids in ``(h, r, t)`` order:
+    ints give one score per table row, equal-length arrays one row of
+    scores per pair.
+    """
+    scalar = np.ndim(a) == np.ndim(b) == 0
+    a, b = _id_arrays(params, **dict(zip([s for s in "hrt" if s != slot], (a, b))))
+    q = _queries(params, slot, a, b)
     table = params.relations if slot == "r" else params.entities
-    if q.ndim == 2:  # RESCAL's relation query meets its table flattened to (|R|, d*d)
-        q, table = q.ravel(), table.reshape(len(table), -1)
-    if params.kind == "transe":
-        return -np.linalg.norm(q - table, axis=1)
-    return table @ q
+    if q.ndim == 3:  # RESCAL's relation queries meet its table flattened to (|R|, d*d)
+        width = params.dim ** 2
+        q, table = q.reshape(len(q), width), table.reshape(len(table), width)
+    out = _negated_distances(q, table) if params.kind == "transe" else q @ table.T
+    return out[0] if scalar else out
 
 
-def score_all_tails(params: ModelParams, h: int, r: int) -> np.ndarray:
-    """Scores of (h, r, x) for every entity x, as one vectorized pass."""
-    params.check_ids(h=h, r=r)
-    return _score_all(params, "t", params.entities[h], params.relations[r])
+def score_all_tails(params: ModelParams, h, r) -> np.ndarray:
+    """Scores of (h, r, x) for every entity x.
+
+    With int ids, a 1-d array over the entities; with equal-length id arrays,
+    an ``(m, |E|)`` array whose row ``i`` scores ``(h[i], r[i], x)``.
+    """
+    return _score_all(params, "t", h, r)
 
 
-def score_all_heads(params: ModelParams, r: int, t: int) -> np.ndarray:
-    """Scores of (x, r, t) for every entity x."""
-    params.check_ids(r=r, t=t)
-    return _score_all(params, "h", params.relations[r], params.entities[t])
+def score_all_heads(params: ModelParams, r, t) -> np.ndarray:
+    """Scores of (x, r, t) for every entity x; ids or id arrays, as in ``score_all_tails``."""
+    return _score_all(params, "h", r, t)
 
 
-def score_all_relations(params: ModelParams, h: int, t: int) -> np.ndarray:
-    """Scores of (h, x, t) for every relation x."""
-    params.check_ids(h=h, t=t)
-    return _score_all(params, "r", params.entities[h], params.entities[t])
+def score_all_relations(params: ModelParams, h, t) -> np.ndarray:
+    """Scores of (h, x, t) for every relation x; ids or id arrays, as in ``score_all_tails``."""
+    return _score_all(params, "r", h, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +316,7 @@ def grad(params: ModelParams, h, r, t, upstream=1.0) -> SparseGrad:
     h == t) are summed into one. TransE's gradient at the singular
     zero-distance point is defined as 0 (measure-zero, avoids NaNs).
     """
-    h, r, t = _id_arrays(params, h, r, t)
+    h, r, t = _id_arrays(params, h=h, r=r, t=t)
     u = np.broadcast_to(np.asarray(upstream, dtype=np.float64), h.shape)[:, None]
     E, R = params.entities, params.relations
     kind, dim = params.kind, params.dim

@@ -328,3 +328,100 @@ def test_identical_invocations_produce_byte_identical_json(clean_dir, tmp_path):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "kgbench" in capsys.readouterr().out
+
+
+def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_path, capsys):
+    """The exit-code contract of README and the ``cli`` docstring, one case per failure.
+
+    Each case names a fragment of the message that must be printed, so that
+    the code is asserted for the failure the case means.
+    """
+    from kgbench import init_params, load_dataset, save_checkpoint
+    from kgbench.ingest import DatasetLayout
+
+    def data(name, train, valid, test):
+        return str(write_split_files(tmp_path / name, train, valid, test))
+
+    def raw(name, train):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "train.txt").write_bytes(train)
+        (d / "valid.txt").write_bytes(b"b\tr\ta\n")
+        (d / "test.txt").write_bytes(b"c\tr\ta\n")
+        return str(d)
+
+    def checkpoint(data_dir, name, n_relation_rows=None, reciprocal=False, inf=False):
+        vocab = load_dataset(DatasetLayout(dir=Path(data_dir))).vocab
+        params = init_params("distmult", vocab.n_entities,
+                             n_relation_rows or vocab.n_relations, 4, seed=0)
+        if inf:
+            params.entities[0, 0] = np.inf
+        path = tmp_path / name
+        save_checkpoint(params, path, vocab, reciprocal=reciprocal)
+        return path
+
+    clean, oov = str(clean_dir), str(oov_dir)
+    all_oov = data("all_oov", [("a", "p", "b"), ("b", "p", "c"), ("c", "p", "a")],
+                   [("x", "p", "a")], [("a", "p", "y")])
+    model = checkpoint(clean, "model.npz")
+    odd_reciprocal = checkpoint(clean, "odd.npz", n_relation_rows=3, reciprocal=True)
+    truncated = tmp_path / "truncated.npz"
+    truncated.write_bytes(model.read_bytes()[:100])
+    not_json = tmp_path / "not_json.npz"
+    with np.load(model) as z:
+        np.savez(not_json, **{**dict(z), "meta": np.array("{kind")})
+    report = {"m": {"mrr": 0.4, "hits": {"1": 0.3}}}
+    same, other = tmp_path / "same.json", tmp_path / "other.json"
+    same.write_text(json.dumps(report))
+    other.write_text(json.dumps({"n": report["m"]}))
+    occupied = tmp_path / "occupied"
+    occupied.mkdir()
+    (occupied / "keep.txt").write_text("x\n")
+
+    def train(data_dir, *flags):
+        return ["train", "--data", data_dir, "--out", str(tmp_path / "t.npz"), *flags]
+
+    def evaluate(data_dir, path, *flags):
+        return ["eval", "--data", data_dir, "--checkpoint", str(path), *flags]
+
+    cases = [
+        (["audit", "--data", oov], 3, "Out-of-vocabulary"),
+        (["audit"], 64, "KGBENCH_DATA is not set"),
+        (["audit", "--data", clean, "--bogus"], 64, "unrecognized arguments"),
+        (["no-such-command"], 64, "invalid choice"),
+        (train(clean, "--model", "bogus"), 64, "invalid choice"),
+        (["compare", "--a", str(same)], 64, "--a and --b must be given together"),
+        (["audit", "--data", raw("fields", b"a\tr\n")], 65, "expected 3 fields"),
+        (["audit", "--data", raw("crlf", b"a\tr\tb\r\n")], 65, "LF line endings"),
+        (["audit", "--data", raw("bom", b"\xef\xbb\xbfa\tr\tb\n")], 65, "byte order mark"),
+        (["audit", "--data", raw("latin1", b"a\tr\t\xe9\n")], 65, "not valid UTF-8"),
+        (["audit", "--data", raw("empty", b"")], 65, "empty"),
+        (["audit", "--data", data("dup", [("a", "r", "b"), ("a", "r", "b")], [("b", "r", "a")],
+                                  [("c", "r", "a")])], 65, "duplicate"),
+        (["audit", "--data", data("overlap", [("a", "r", "b")], [("a", "r", "b")],
+                                  [("b", "r", "a")])], 65, "overlap"),
+        (["compare", "--a", str(same), "--b", str(same)], 65, "degenerate"),
+        (["compare", "--a", str(same), "--b", str(other)], 65, "do not cover the same models"),
+        (train(clean, "--model", "transe", "--margin", "0"), 65, "margin must be > 0"),
+        (train(oov, "--model", "rescal", "--dim", "4", "--epochs", "5", "--batch-size", "2",
+               "--lr", "1e160", "--optimizer", "sgd", "--loss", "logistic"), 65,
+         "non-finite loss"),
+        (evaluate(clean, odd_reciprocal), 65, "cannot derive inverse"),
+        (evaluate(all_oov, checkpoint(all_oov, "all_oov.npz"), "--oov-policy", "exclude"), 65,
+         "no test triples left"),
+        (["audit", "--data", str(tmp_path / "nowhere")], 66, "missing split file"),
+        (evaluate(clean, tmp_path / "missing.npz"), 66, "missing.npz"),
+        (["stats", "--pairs", str(tmp_path / "missing.csv")], 66, "missing.csv"),
+        (["correct", "--data", oov, "--out", str(occupied)], 73, "not empty"),
+        (["correct", "--data", oov, "--out", oov, "--force"], 73, "in place"),
+        (evaluate(oov, model), 74, "cover"),
+        (evaluate(clean, truncated), 74, "not a kgbench checkpoint"),
+        (evaluate(clean, not_json), 74, "not JSON"),
+        (evaluate(clean, checkpoint(clean, "inf.npz", inf=True)), 74, "non-finite"),
+    ]
+    capsys.readouterr()
+    for argv, code, message in cases:
+        with np.errstate(all="ignore"):
+            got = main(argv)
+        printed = capsys.readouterr()
+        assert (got, message in printed.out + printed.err) == (code, True), (argv, printed)

@@ -127,6 +127,23 @@ def test_filter_index_query_equivalence(data):
     assert idx.contains(Triple(h, r, t)) == ((h, r, t) in set(triples))
 
 
+def test_filter_index_runs_of_many_pairs_match_linear_scans():
+    rng = np.random.default_rng(4)
+    ds = random_kg(rng, 9, 3, n_train=60, n_valid=5, n_test=5)
+    triples = [tuple(tr) for tr in ds.all_triples()]
+    idx = FilterIndex.from_triples(triples)
+    a, b = rng.integers(-2, 11, size=200), rng.integers(-2, 11, size=200)  # some out of range
+    lookups = ((idx.triples, linear_scan_tails), (idx.by_ht, linear_scan_relations),
+               (idx.by_rt, linear_scan_heads))
+    for keys, scan in lookups:
+        query, third = idx.runs(keys, a, b)
+        assert np.all(np.diff(query) >= 0)
+        got = [set(third[query == i].tolist()) for i in range(len(a))]
+        assert got == [scan(triples, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    query, third = idx.runs(idx.triples, a[:0], b[:0])
+    assert query.shape == third.shape == (0,)
+
+
 def test_vocab_hash_changes_with_order():
     v1 = build_vocabulary([("a", "p", "b")])
     v2 = build_vocabulary([("b", "p", "a")])

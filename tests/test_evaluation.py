@@ -19,9 +19,11 @@ from kgbench import (
     split_vocab,
     write_corrected,
 )
+from kgbench import evaluation
 from kgbench.evaluation import (
+    OOV_POLICIES,
     EvaluationError,
-    _rank_pair,
+    _ranks,
     filtered_rank_pair,
     rank_records,
 )
@@ -68,12 +70,11 @@ def test_rank_pair_translation_invariance():
     rng = np.random.default_rng(3)
     scores = rng.normal(size=40)
     scores[7] = scores[21]  # force a tie group
-    mask = np.ones(40, dtype=bool)
-    mask[5] = False
+    scores[5] = -np.inf  # a filtered candidate
     for tie in TIES:
-        base = _rank_pair(scores, mask, 21, tie)
-        shifted = _rank_pair(scores + 123.456, mask, 21, tie)
-        assert base == shifted
+        base = _ranks(scores[None], np.array([21]), tie)
+        shifted = _ranks(scores[None] + 123.456, np.array([21]), tie)
+        assert [x.tolist() for x in base] == [x.tolist() for x in shifted]
 
 
 def test_boosting_a_filtered_candidate_never_changes_rank():
@@ -438,6 +439,46 @@ def test_rank_records_and_metrics_follow_filtered_rank_pair(kind):
                     records, ("relation",))
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_rank_records_do_not_depend_on_the_block_size(kind, monkeypatch):
+    # one query per block, a few per block, and the whole split in one block
+    ds = _oov_kg(MODEL_KINDS.index(kind) + 50)
+    for reciprocal in (False, True):
+        n_rel_rows = ds.vocab.n_relations * (2 if reciprocal else 1)
+        params = init_params(kind, ds.vocab.n_entities, n_rel_rows, 3, seed=6)
+        for policy in OOV_POLICIES:
+            for tie in TIES:
+                records = []
+                for floats in (1, 60, 2 ** 62):
+                    monkeypatch.setattr(evaluation, "BLOCK_FLOATS", floats)
+                    records.append(rank_records(params, ds, policy=policy, tie=tie,
+                                                reciprocal=reciprocal))
+                assert records[0] == records[1] == records[2], (policy, tie, reciprocal)
+
+
+def test_transe_ranks_with_duplicated_entity_rows_equal_the_oracle():
+    # Equal rows must score exactly equal, or ties are broken by row position.
+    # Five entities, one more than a multiple of four, as in a BLAS remainder row.
+    chain = make_dataset([(f"e{i}", "p", f"e{i + 1}") for i in range(4)], [], [("e4", "p", "e0")])
+    kgs = [(chain, 1), (random_kg(np.random.default_rng(8), 11, 2, n_train=30, n_test=8), 3)]
+    for ds, groups in kgs:
+        n = ds.vocab.n_entities
+        params = init_params("transe", n, ds.vocab.n_relations, 8, seed=3)
+        params.entities[:] = params.entities[np.arange(n) % groups]
+        idx = filter_index_build(ds)
+        union = set(map(tuple, ds.all_triples()))
+        cands = list(range(n))
+        for tie in TIES:
+            records = rank_records(params, ds, tie=tie)
+            for rec in records:
+                for direction in ("tail", "head"):
+                    want = brute_force_rank(params, union, *rec.triple, direction, tie, cands)
+                    assert filtered_rank_pair(params, idx, *rec.triple, direction, tie) == want
+                    got = (getattr(rec, f"rank_{direction}"),
+                           getattr(rec, f"hits_rank_{direction}"))
+                    assert got == want, (rec, direction, tie)
+
+
 def test_non_finite_parameters_are_refused():
     ds = make_dataset([("a", "p", "b"), ("b", "p", "c")], [], [("a", "p", "c")])
     params = init_params("distmult", 3, 1, 3, seed=0)
@@ -454,7 +495,7 @@ def test_overflowing_target_score_is_refused():
     with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="not finite"):
         evaluate(params, ds, split="test")
     with pytest.raises(EvaluationError, match="not finite"):
-        _rank_pair(np.array([np.nan, 1.0]), np.ones(2, dtype=bool), 0, "mean")
+        _ranks(np.array([[np.nan, 1.0]]), np.array([0]), "mean")
 
 
 def test_exclude_with_everything_oov_errors():

@@ -87,6 +87,24 @@ def test_score_on_arrays_equals_scalar_score(kind):
     np.testing.assert_allclose(batch, scalars, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_score_all_on_id_arrays_equals_one_query_per_call(kind):
+    rng = np.random.default_rng(11)
+    p = init_params(kind, 13, 5, 6, seed=2)
+    h, r, t = rng.integers(13, size=30), rng.integers(5, size=30), rng.integers(13, size=30)
+    blocks = {"tails": (score_all_tails, h, r), "heads": (score_all_heads, r, t),
+              "relations": (score_all_relations, h, t)}
+    for name, (score_all, a, b) in blocks.items():
+        block = score_all(p, a, b)
+        width = 5 if name == "relations" else 13
+        assert block.shape == (30, width) and score_all(p, a[:0], b[:0]).shape == (0, width)
+        rows = np.array([score_all(p, x, y) for x, y in zip(a.tolist(), b.tolist())])
+        if kind == "transe":  # summed coordinate by coordinate: no dependence on the block
+            assert np.array_equal(block, rows), name
+        else:  # BLAS may sum a one-row product in another order than a many-row one
+            np.testing.assert_allclose(block, rows, rtol=1e-12, atol=1e-15)
+
+
 def _per_triple_terms(p, h, r, t, upstream):
     """{id: [gradient row of each triple touching it]} from one grad call per triple."""
     entities, relations = {}, {}
@@ -349,3 +367,7 @@ def test_score_rejects_out_of_range_ids():
         grad(p, ids, np.array([0, -1]), ids)
     with pytest.raises(ValueError, match="equal-length"):
         score(p, ids, ids, np.array([0]))
+    with pytest.raises(IndexError):
+        score_all_relations(p, ids, np.array([0, 3]))
+    with pytest.raises(ValueError, match="equal-length"):
+        score_all_heads(p, ids, np.array([0]))
