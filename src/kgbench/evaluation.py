@@ -27,6 +27,16 @@ from the ``FilterIndex`` key arrays in one vectorised lookup and are set to
 own target; each row then counts the scores above and level with its
 target's, read from the same row. ``BLOCK_FLOATS`` bounds a block's size.
 ``filtered_rank_pair`` ranks one query as a block of one.
+
+TransE blocks are screened instead of scored: one ``transe_screen`` call
+approximates every squared distance with one matrix product and gives each
+query a band around its target's exact squared distance, wide enough to
+cover every rounding (the proof is in ``models``). Filtered and
+non-candidate columns are set to ``+inf``. A row counts the screened values
+below its band as scores above the target; the band itself (non-finite
+screened values included) is re-scored with ``transe_pair_scores``, the
+exact formula of ``score_all_*``, in the rows where it holds more than the
+target. So ranks are those of the exact scores.
 """
 
 from __future__ import annotations
@@ -37,17 +47,24 @@ import numpy as np
 
 from .audit import detect_oov
 from .core import FilterIndex, SplitDataset, Triple, filter_index_build, split_vocab
-from .models import ModelParams, score_all_heads, score_all_relations, score_all_tails
+from .models import (
+    ModelParams,
+    TranseScreenTable,
+    score_all_heads,
+    score_all_relations,
+    score_all_tails,
+    transe_pair_scores,
+    transe_screen,
+    transe_screen_table,
+)
 
 OOV_POLICIES = ("include", "exclude")
 TIE_POLICIES = ("mean", "optimistic", "pessimistic")
 HITS_LEVELS = (1, 3, 10)
 
 #: Scores and query values that one ranked block holds, counted in float64s;
-#: it bounds the memory ranking takes whatever the split's size. At 2**17
-#: (1 MiB), TransE's two (m, N) planes stay in a 4 MiB L2 cache; larger
-#: blocks ranked a 2,000-entity KG more slowly, smaller ones read the
-#: candidate table more often.
+#: it bounds the memory ranking takes whatever the split's size (1 MiB of
+#: scores at 2**17). Smaller blocks read the candidate table more often.
 BLOCK_FLOATS = 2 ** 17
 
 
@@ -106,6 +123,24 @@ def _check_tie(tie: str) -> None:
         raise ValueError(f"unknown tie policy {tie!r} (expected one of {TIE_POLICIES})")
 
 
+def _check_finite(target_scores: np.ndarray) -> None:
+    if not np.isfinite(target_scores).all():
+        bad = target_scores[~np.isfinite(target_scores)][0]
+        raise EvaluationError(f"target score {bad} is not finite; refusing to rank it")
+
+
+def _tie_ranks(optimistic: np.ndarray, level: np.ndarray,
+               tie: str) -> tuple[np.ndarray, np.ndarray]:
+    """(rank for MRR, integer rank for Hits@N) from 1 + the count of candidates above
+    the target and the count level with it, the target included."""
+    pessimistic = optimistic + level - 1
+    if tie == "optimistic":
+        return optimistic.astype(np.float64), optimistic
+    if tie == "pessimistic":
+        return pessimistic.astype(np.float64), pessimistic
+    return (optimistic + pessimistic) / 2.0, pessimistic
+
+
 def _ranks(scores: np.ndarray, targets: np.ndarray, tie: str) -> tuple[np.ndarray, np.ndarray]:
     """(rank for MRR, integer rank for Hits@N) of each row's target column.
 
@@ -113,17 +148,35 @@ def _ranks(scores: np.ndarray, targets: np.ndarray, tie: str) -> tuple[np.ndarra
     above nor level with a finite target score.
     """
     target_scores = scores[np.arange(len(targets)), targets]
-    if not np.isfinite(target_scores).all():
-        bad = target_scores[~np.isfinite(target_scores)][0]
-        raise EvaluationError(f"target score {bad} is not finite; refusing to rank it")
+    _check_finite(target_scores)
     level = target_scores[:, None]
-    optimistic = 1 + np.count_nonzero(scores > level, axis=1)
-    pessimistic = optimistic + np.count_nonzero(scores == level, axis=1) - 1  # not the target
-    if tie == "optimistic":
-        return optimistic.astype(np.float64), optimistic
-    if tie == "pessimistic":
-        return pessimistic.astype(np.float64), pessimistic
-    return (optimistic + pessimistic) / 2.0, pessimistic
+    return _tie_ranks(1 + np.count_nonzero(scores > level, axis=1),
+                      np.count_nonzero(scores == level, axis=1), tie)
+
+
+def _screened_ranks(params: ModelParams, slot: str, a: np.ndarray, b: np.ndarray,
+                    screened: np.ndarray, target_scores: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray, tie: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_ranks`` for TransE, from ``transe_screen``'s screened distances.
+
+    Filtered and non-candidate columns hold ``+inf``, above every ``hi``.
+    Screened values below ``lo`` count as above the target, and the band
+    between ``lo`` and ``hi`` (``NaN`` included) is re-scored exactly in the
+    rows where it holds more than the target.
+    """
+    _check_finite(target_scores)
+    above = np.count_nonzero(screened < lo[:, None], axis=1)
+    band = screened.shape[1] - above - np.count_nonzero(screened > hi[:, None], axis=1)
+    level = np.ones_like(above)  # the target, alone in its band
+    rows = np.flatnonzero(band > 1)
+    if rows.size:
+        part = screened[rows]
+        i, x = np.nonzero(~((part < lo[rows, None]) | (part > hi[rows, None])))
+        scores = transe_pair_scores(params, slot, a[rows][i], b[rows][i], x)
+        target = target_scores[rows][i]
+        above[rows] += np.bincount(i[scores > target], minlength=rows.size)
+        level[rows] = np.bincount(i[scores == target], minlength=rows.size)
+    return _tie_ranks(1 + above, level, tie)
 
 
 def _inverse_relations(params: ModelParams, r: np.ndarray) -> np.ndarray:
@@ -144,31 +197,39 @@ def _dropped_columns(n_columns: int, candidates: np.ndarray | None) -> np.ndarra
     return dropped
 
 
+def _screen(params: ModelParams, table: np.ndarray) -> TranseScreenTable | None:
+    """The TransE screen table of ``table``; the dot-product models score without one."""
+    return transe_screen_table(table) if params.kind == "transe" else None
+
+
 def _rank_block(params: ModelParams, index: FilterIndex, triples: np.ndarray,
-                direction: str, tie: str, dropped: np.ndarray,
-                reciprocal: bool) -> tuple[np.ndarray, np.ndarray]:
+                direction: str, tie: str, dropped: np.ndarray, reciprocal: bool,
+                screen: TranseScreenTable | None) -> tuple[np.ndarray, np.ndarray]:
     """Filtered (MRR ranks, Hits ranks) of one slot of each row of ``triples``.
 
-    One ``score_all_*`` call scores the whole block; each row's known-true
-    candidates other than its target, and the ``dropped`` columns, are set
-    to ``-inf`` before the ranks are counted.
+    One ``score_all_*`` call scores the whole block, or for TransE one
+    ``transe_screen`` call screens it against ``screen``. Each row's
+    known-true candidates other than its target, and the ``dropped``
+    columns, are taken out before the ranks are counted.
     """
     h, r, t = triples.T
     if direction == "tail":
-        scores = score_all_tails(params, h, r)
-        keys, a, b, targets = index.triples, h, r, t
+        slot, a, b = "t", h, r
+        keys, fixed, targets = index.triples, (h, r), t
     elif direction == "head":
-        if reciprocal:
-            scores = score_all_tails(params, t, _inverse_relations(params, r))
-        else:
-            scores = score_all_heads(params, r, t)
-        keys, a, b, targets = index.by_rt, r, t, h
+        slot, a, b = ("t", t, _inverse_relations(params, r)) if reciprocal else ("h", r, t)
+        keys, fixed, targets = index.by_rt, (r, t), h
     elif direction == "relation":
-        scores = score_all_relations(params, h, t)
-        keys, a, b, targets = index.by_ht, h, t, r
+        slot, a, b = "r", h, t
+        keys, fixed, targets = index.by_ht, (h, t), r
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    query, known = index.runs(keys, a, b)
+    if screen is None:
+        score_all = {"t": score_all_tails, "h": score_all_heads, "r": score_all_relations}[slot]
+        scores = score_all(params, a, b)
+    else:
+        scores, target_scores, lo, hi = transe_screen(params, screen, slot, a, b, targets)
+    query, known = index.runs(keys, *fixed)
     is_target = known == targets[query]
     found = np.zeros(len(triples), dtype=bool)
     found[query[is_target]] = True
@@ -180,9 +241,12 @@ def _rank_block(params: ModelParams, index: FilterIndex, triples: np.ndarray,
     outside = dropped[targets]
     if outside.any():
         raise EvaluationError(f"target id {targets[outside][0]} is not in the candidate set")
-    scores[query[~is_target], known[~is_target]] = -np.inf
-    scores[:, dropped] = -np.inf
-    return _ranks(scores, targets, tie)
+    out = -np.inf if screen is None else np.inf  # screened values are distances
+    scores[query[~is_target], known[~is_target]] = out
+    scores[:, dropped] = out
+    if screen is None:
+        return _ranks(scores, targets, tie)
+    return _screened_ranks(params, slot, a, b, scores, target_scores, lo, hi, tie)
 
 
 def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, t: int,
@@ -198,10 +262,10 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
     This is the block ranker of ``evaluate`` applied to one query.
     """
     _check_tie(tie)
-    n_columns = params.n_relations if direction == "relation" else params.n_entities
+    table = params.relations if direction == "relation" else params.entities
     rank, hits_rank = _rank_block(params, index, np.array([[h, r, t]], dtype=np.int64),
-                                  direction, tie, _dropped_columns(n_columns, candidates),
-                                  reciprocal)
+                                  direction, tie, _dropped_columns(len(table), candidates),
+                                  reciprocal, _screen(params, table))
     return float(rank[0]), int(hits_rank[0])
 
 
@@ -260,11 +324,13 @@ def _rank_split(params: ModelParams, setup: _EvalSetup, directions: tuple[str, .
         else:
             table, candidates = params.entities, setup.entity_candidates
         dropped = _dropped_columns(len(table), candidates)
+        screen = _screen(params, table)
         step = max(1, BLOCK_FLOATS // (len(table) + table[0].size))
         for lo in range(0, shape[0], step):
             block = slice(lo, lo + step)
             ranks[block, j], hits_ranks[block, j] = _rank_block(
-                params, setup.index, setup.triples[block], direction, tie, dropped, reciprocal)
+                params, setup.index, setup.triples[block], direction, tie, dropped, reciprocal,
+                screen)
     return ranks, hits_ranks
 
 

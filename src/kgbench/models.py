@@ -23,6 +23,14 @@ with one row per query: the block of queries times the candidate table
 (``Q @ table.T``), or for TransE the negated distances, summed one
 coordinate at a time so that equal candidate rows score exactly equal.
 
+TransE is ranked through a screen: ``transe_screen`` approximates every
+squared distance of a block with one matrix product,
+``[q, |q|^2, 1] @ [-2e, 1, |e|^2].T`` (the table built once by
+``transe_screen_table``), and returns a per-query band, proven in a
+comment there, outside which the screen orders a candidate against the
+target exactly as the exact scores do. ``transe_pair_scores`` re-scores
+the band with the exact formula that ``score_all_*`` uses.
+
 Scores are uniformly "higher is better" (TransE returns the negated
 distance), which keeps the ranking engine model-agnostic. Parameter rows
 exist for every entity/relation in the union vocabulary; rows for ids that
@@ -221,29 +229,134 @@ def score(params: ModelParams, h, r, t) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def _negated_distances(q: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``-||q[i] - table[j]||`` for every query row ``i`` and table row ``j``.
+def _negated_distances(q_columns: np.ndarray, e_columns: np.ndarray) -> np.ndarray:
+    """``-||q - e||`` from the coordinates of query and candidate rows, broadcast together.
 
-    The squares are summed one coordinate at a time over ``(m, N)`` planes,
-    so each distance is summed in coordinate order whatever ``m`` is, and
-    equal table rows get equal distances. (Expanding ``|q|^2 + |e|^2 - 2q.e``
-    would be faster but rounds differently and breaks exact ties.)
+    ``q_columns[k]`` and ``e_columns[k]`` hold coordinate ``k`` of the query
+    rows and of the candidate rows: ``(m, 1)`` against ``(N,)`` gives every
+    pair's distance as an ``(m, N)`` plane, ``(n,)`` against ``(n,)`` the
+    distances of ``n`` pairs. This is TransE's one exact formula: subtract,
+    square, add in coordinate order, ``sqrt``, negate. So a pair's distance
+    does not depend on what it is computed with, and equal candidate rows
+    get equal distances. (Expanding ``|q|^2 + |e|^2 - 2q.e`` rounds
+    differently; ``transe_screen`` uses it only as a screen.)
     """
-    q_columns = np.ascontiguousarray(q.T)[:, :, None]
-    table_columns = np.empty((table.shape[1], len(table)))
-    for lo in range(0, len(table), 128):  # one transposing copy of a large table misses cache
-        table_columns[:, lo:lo + 128] = table[lo:lo + 128].T
-    total = np.empty((len(q), len(table)))
+    shape = np.broadcast_shapes(q_columns.shape[1:], e_columns.shape[1:])
+    total = np.empty(shape)
     diff = np.empty_like(total)
-    for k in range(q.shape[1]):
+    for k in range(len(q_columns)):
         plane = diff if k else total
         np.copyto(plane, q_columns[k])  # then subtract in place: faster than q - e in one call
-        plane -= table_columns[k]
+        plane -= e_columns[k]
         plane *= plane
         if k:
             total += diff
     np.sqrt(total, out=total)
     return np.negative(total, out=total)
+
+
+def _candidate_table(params: ModelParams, slot: str) -> np.ndarray:
+    return params.relations if slot == "r" else params.entities
+
+
+def transe_pair_scores(params: ModelParams, slot: str, a, b, x) -> np.ndarray:
+    """TransE scores of candidate ``x[i]`` in ``slot`` for the slot query of ``(a[i], b[i])``.
+
+    ``a`` and ``b`` are the other two slots' ids in ``(h, r, t)`` order, as
+    in ``score_all_*``; each score equals that of ``score_all_*`` bit for bit.
+    """
+    others = [s for s in "hrt" if s != slot]
+    a, b, x = _id_arrays(params, **dict(zip(others, (a, b))), **{slot: x})
+    q = _queries(params, slot, a, b)
+    return _negated_distances(q.T, _candidate_table(params, slot)[x].T)
+
+
+#: Constants of ``transe_screen``'s bound: 32 units of roundoff, the
+#: largest float64 and the smallest normal one.
+_SCREEN_ULPS = 2.0 ** -48
+_MAX_FLOAT = np.finfo(np.float64).max
+_TINY = np.finfo(np.float64).tiny
+
+
+@dataclass(frozen=True, eq=False)
+class TranseScreenTable:
+    """A TransE candidate table set up for ``transe_screen``.
+
+    ``augmented`` holds one row ``[-2e, 1, |e|^2]`` per candidate row ``e``,
+    and ``max_square_norm`` the largest ``|e|^2``.
+    """
+
+    augmented: np.ndarray
+    max_square_norm: float
+
+
+def transe_screen_table(table: np.ndarray) -> TranseScreenTable:
+    """The screen table of TransE's entity or relation table."""
+    with np.errstate(over="ignore"):  # an overflowing norm makes every row recounted
+        square_norms = np.einsum("ij,ij->i", table, table)
+    augmented = np.concatenate([-2.0 * table, np.ones((len(table), 1)), square_norms[:, None]],
+                               axis=1)
+    return TranseScreenTable(augmented, float(square_norms.max(initial=0.0)))
+
+
+def transe_screen(params: ModelParams, screen: TranseScreenTable, slot: str, a, b,
+                  targets) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Screened squared distances of a block of TransE queries, and the band that needs a recount.
+
+    ``a`` and ``b`` are the other two slots' ids in ``(h, r, t)`` order, as
+    in ``score_all_*``, ``targets`` one candidate id per query and
+    ``screen`` the slot's ``transe_screen_table``. Returns
+    ``(screened, target_scores, lo, hi)``: ``screened`` is ``(m, N)``, one
+    matrix product ``[q, |q|^2, 1] @ [-2e, 1, |e|^2].T`` that approximates
+    every squared distance ``|q - e|^2``; ``target_scores`` are the exact
+    scores of the targets, as ``score_all_*`` gives them. A candidate whose
+    screened value is below ``lo[i]`` scores strictly above query ``i``'s
+    target, one above ``hi[i]`` strictly below it. The rest, the band, can
+    score either way or level, and must be scored exactly
+    (``transe_pair_scores``). ``NaN`` is in the band. ``hi`` is finite, so a
+    column set to ``+inf`` is out of the band.
+    """
+    others = [s for s in "hrt" if s != slot]
+    a, b, targets = _id_arrays(params, **dict(zip(others, (a, b))), **{slot: targets})
+    q = _queries(params, slot, a, b)
+    target_scores = _negated_distances(q.T, _candidate_table(params, slot)[targets].T)
+    # Why lo and hi hold. Let u = 2**-53, n = d + 2, g(n) = n*u / (1 - n*u),
+    # and, for query q and candidate e, Pi = |q|^2 + |e|^2 in exact arithmetic.
+    # P = fl(|q|^2) + max fl(|e|^2) is at least (1 - g(d)) * Pi.
+    # 1. Expansion rounding. screened[i, e] is a dot product of length n of
+    #    [q, fl(|q|^2), 1] and [-2e, 1, fl(|e|^2)]. Summed in any order, with
+    #    or without fused multiply-adds, it is within g(n) times the sum of its
+    #    terms' magnitudes of its exact value. That sum is 2*sum|q_k*e_k| +
+    #    fl(|q|^2) + fl(|e|^2) <= (2 + g(d)) * Pi, and each norm is within
+    #    g(d) of exact, so screened is within 3.01 * g(n) * Pi of |q - e|^2.
+    # 2. Rounding of the exact sum. D, the coordinate-order sum of
+    #    fl(fl(q_k - e_k)^2), puts at most d + 1 roundings on each term, so it
+    #    is within g(n) * |q - e|^2 <= 2 * g(n) * Pi of |q - e|^2. With 1.,
+    #    |screened - D| <= 5.01 * g(n) * Pi <= 5.1 * n*u * P while n*u < 2**-20.
+    # 3. Rounding of the sqrt. A candidate scores -fl(sqrt(D)) and the target
+    #    s = -fl(sqrt(D_t)). Let Q = fl(s*s) = s*s * (1 + r), |r| <= u. If
+    #    D < Q * (1 - 3u), then fl(sqrt(D)) <= sqrt(D) * (1 + u) < -s: the
+    #    candidate scores strictly above. If D > Q * (1 + 5u), then
+    #    fl(sqrt(D)) >= sqrt(D) * (1 - u) > -s: strictly below. In between,
+    #    sqrt can round distinct D to one score.
+    # So screened < Q - (5.1*n*u*P + 5u*Q) means above and screened >
+    # Q + (5.1*n*u*P + 5u*Q) means below. B = 2**-48 * (n*P + Q) = 32u * (n*P + Q)
+    # is more than twice that margin, which covers the roundings of B, Q - B
+    # and Q + B themselves. Where a value is subnormal, a rounding errs by up to
+    # 2**-1075 instead; far fewer than 2**40 roundings feed one value, so the
+    # smallest normal float, 2**-1022, added to B covers them. Every partial
+    # sum in 1. is at most 2.01 * P in magnitude, so nothing overflows where
+    # 4P is finite. Elsewhere the row's screened values are set to NaN, which
+    # puts the whole row in the band.
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows are handled below
+        square_norms = np.einsum("ij,ij->i", q, q)
+        screened = np.column_stack([q, square_norms, np.ones(len(q))]) @ screen.augmented.T
+        p = square_norms + screen.max_square_norm
+        screened[~(p <= _MAX_FLOAT / 4)] = np.nan
+        target_squares = target_scores * target_scores  # Q
+        bound = _SCREEN_ULPS * ((q.shape[1] + 2) * p + target_squares) + _TINY
+        return (screened, target_scores, target_squares - bound,
+                np.minimum(target_squares + bound, _MAX_FLOAT))
 
 
 def _score_all(params: ModelParams, slot: str, a, b) -> np.ndarray:
@@ -256,11 +369,17 @@ def _score_all(params: ModelParams, slot: str, a, b) -> np.ndarray:
     scalar = np.ndim(a) == np.ndim(b) == 0
     a, b = _id_arrays(params, **dict(zip([s for s in "hrt" if s != slot], (a, b))))
     q = _queries(params, slot, a, b)
-    table = params.relations if slot == "r" else params.entities
+    table = _candidate_table(params, slot)
     if q.ndim == 3:  # RESCAL's relation queries meet its table flattened to (|R|, d*d)
         width = params.dim ** 2
         q, table = q.reshape(len(q), width), table.reshape(len(table), width)
-    out = _negated_distances(q, table) if params.kind == "transe" else q @ table.T
+    if params.kind != "transe":
+        out = q @ table.T
+    else:
+        table_columns = np.empty((table.shape[1], len(table)))
+        for lo in range(0, len(table), 128):  # one transposing copy of a large table misses cache
+            table_columns[:, lo:lo + 128] = table[lo:lo + 128].T
+        out = _negated_distances(np.ascontiguousarray(q.T)[:, :, None], table_columns)
     return out[0] if scalar else out
 
 

@@ -28,10 +28,22 @@ from kgbench.evaluation import (
     rank_records,
 )
 from kgbench.ingest import DatasetLayout
-from kgbench.models import MODEL_KINDS, align_params_to_vocab
+from kgbench.models import (
+    MODEL_KINDS,
+    align_params_to_vocab,
+    score_all_heads,
+    score_all_relations,
+    score_all_tails,
+)
 
 from conftest import make_dataset, random_kg, write_split_files
-from oracles import brute_force_rank
+from oracles import (
+    brute_force_rank,
+    linear_scan_heads,
+    linear_scan_relations,
+    linear_scan_tails,
+    sort_scan_rank,
+)
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "kgbench" / "schemas"
 
@@ -477,6 +489,73 @@ def test_transe_ranks_with_duplicated_entity_rows_equal_the_oracle():
                     got = (getattr(rec, f"rank_{direction}"),
                            getattr(rec, f"hits_rank_{direction}"))
                     assert got == want, (rec, direction, tie)
+
+
+def _assert_ranks_equal_sorted_exact_rows(params, ds, split, reciprocal):
+    """``rank_records`` and ``filtered_rank_pair`` equal the sorting oracle over
+    ``score_all_*`` rows, filtered by linear scans, under every tie policy."""
+    idx = filter_index_build(ds)
+    union = list(ds.all_triples())
+    n_rel = ds.vocab.n_relations
+    entities, relations = np.arange(ds.vocab.n_entities), np.arange(n_rel)
+    for tie in TIES:
+        for rec in rank_records(params, ds, split=split, tie=tie, reciprocal=reciprocal):
+            h, r, t = rec.triple
+            queries = {
+                "tail": (score_all_tails(params, h, r), linear_scan_tails(union, h, r), t,
+                         entities),
+                "head": (score_all_tails(params, t, n_rel + r) if reciprocal
+                         else score_all_heads(params, r, t),
+                         linear_scan_heads(union, r, t), h, entities),
+                "relation": (score_all_relations(params, h, t)[:n_rel],
+                             linear_scan_relations(union, h, t), r, relations),
+            }
+            for direction, (row, filtered, target, cands) in queries.items():
+                want = sort_scan_rank(list(enumerate(row.tolist())), filtered, target, tie)
+                got = (getattr(rec, f"rank_{direction}"), getattr(rec, f"hits_rank_{direction}"))
+                assert got == want, (rec, direction, tie, reciprocal)
+                assert filtered_rank_pair(params, idx, h, r, t, direction, tie, cands,
+                                          reciprocal) == want, (rec, direction, tie, reciprocal)
+
+
+def _near_tie_rows(rng, n, d, scale):
+    """Rows in groups of equal rows, some of them one float step from their
+    group in one coordinate."""
+    rows = rng.normal(scale=scale, size=(max(1, n // 3), d))[rng.integers(max(1, n // 3), size=n)]
+    nudged = np.flatnonzero(rng.random(n) < 0.4)
+    k = rng.integers(d, size=nudged.size)
+    rows[nudged, k] = np.nextafter(rows[nudged, k], rng.choice([-np.inf, np.inf], nudged.size))
+    return rows
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 33])
+def test_transe_near_ties_rank_as_the_sorted_exact_scores(dim):
+    # Equal rows and rows one float step apart give exact scores that tie or
+    # differ in the last place, which the screen cannot tell apart: they are
+    # counted from the exact scores of the band.
+    rng = np.random.default_rng(dim)
+    ds = random_kg(rng, 12, 3, n_train=30, n_test=20)
+    for scale in (1e-3, 1.0, 1e3):
+        for reciprocal in (False, True):
+            n_rel = ds.vocab.n_relations * (2 if reciprocal else 1)
+            params = ModelParams("transe", dim,
+                                 _near_tie_rows(rng, ds.vocab.n_entities, dim, scale),
+                                 _near_tie_rows(rng, n_rel, dim, scale))
+            _assert_ranks_equal_sorted_exact_rows(params, ds, "test", reciprocal)
+
+
+def test_transe_ranks_where_the_screen_overflows_equal_the_sorted_exact_scores():
+    # |e|^2 overflows, so the screen's expansion gives inf - inf = NaN, though
+    # every exact distance is finite: those rows are re-scored exactly.
+    rng = np.random.default_rng(4)
+    ds = random_kg(rng, 10, 2, n_train=20, n_test=6)
+    params = ModelParams("transe", 16, 1e155 + rng.normal(scale=1e145, size=(10, 16)),
+                         rng.normal(scale=1e145, size=(2, 16)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.einsum("ij,ij->i", params.entities, params.entities)).any()
+        _assert_ranks_equal_sorted_exact_rows(params, ds, "test", False)
+        ranks = [rec.rank_tail for rec in rank_records(params, ds, tie="optimistic")]
+    assert max(ranks) > 1, ranks  # not every target first
 
 
 def test_non_finite_parameters_are_refused():

@@ -13,6 +13,9 @@ from kgbench.models import (
     score_all_heads,
     score_all_relations,
     score_all_tails,
+    transe_pair_scores,
+    transe_screen,
+    transe_screen_table,
 )
 
 from oracles import central_difference_grad, score_via_params
@@ -103,6 +106,35 @@ def test_score_all_on_id_arrays_equals_one_query_per_call(kind):
             assert np.array_equal(block, rows), name
         else:  # BLAS may sum a one-row product in another order than a many-row one
             np.testing.assert_allclose(block, rows, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 33])
+def test_transe_pair_scores_equal_score_all_bit_for_bit(dim):
+    # the ranker's recount of near ties and score_all_* make one formula
+    rng = np.random.default_rng(dim)
+    p = init_params("transe", 40, 6, dim, seed=dim)
+    h, r, t = rng.integers(40, size=25), rng.integers(6, size=25), rng.integers(40, size=25)
+    for slot, score_all, a, b, n in (("t", score_all_tails, h, r, 40),
+                                     ("h", score_all_heads, r, t, 40),
+                                     ("r", score_all_relations, h, t, 6)):
+        x = rng.integers(n, size=25)
+        want = score_all(p, a, b)[np.arange(25), x]
+        assert np.array_equal(transe_pair_scores(p, slot, a, b, x), want), slot
+        assert transe_pair_scores(p, slot, a[:0], b[:0], x[:0]).shape == (0,)
+
+
+def test_transe_screen_sends_rows_that_may_overflow_to_the_band():
+    # |q|^2 + max |e|^2 is past a quarter of the largest float, so some order of
+    # summing the screen's product may overflow: the whole row is NaN, which is
+    # in the band, and hi stays finite so that +inf columns stay out of it
+    entities = np.array([[0.9e154, 0.9e154], [0.9e154, 0.9e154], [1.0, 1.0]])
+    p = ModelParams("transe", 2, entities, np.zeros((1, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        screened, target_scores, lo, hi = transe_screen(
+            p, transe_screen_table(p.entities), "t", np.array([0, 2]), np.array([0, 0]),
+            np.array([1, 2]))
+    assert np.isnan(screened).all() and np.isfinite(hi).all()
+    assert target_scores.tolist() == [0.0, 0.0]
 
 
 def _per_triple_terms(p, h, r, t, upstream):
