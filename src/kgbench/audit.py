@@ -70,9 +70,8 @@ def _detect_split(dataset: SplitDataset, name: str,
     ents, rels = split_vocab(split)
     h, r, t = split.T
     oov = np.stack([~known_ents[h], ~known_rels[r], ~known_ents[t]], axis=1)
-    lines = dataset.line_numbers[name]
     affected = tuple(
-        AffectedTriple(name, lines[i], Triple._make(split[i].tolist()),
+        AffectedTriple(name, i + 1, Triple._make(split[i].tolist()),
                        tuple(f for f, on in zip("hrt", oov[i].tolist()) if on))
         for i in np.flatnonzero(oov.any(axis=1)).tolist())
     pct = len(affected) / len(split) if len(split) else 0.0

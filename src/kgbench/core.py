@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -76,6 +77,11 @@ class Vocabulary:
         h, r, t = triple
         return Triple(self.entity_ids[h], self.relation_ids[r], self.entity_ids[t])
 
+    def labels(self, triple) -> LabeledTriple:
+        """The labels of an ``(h, r, t)`` id triple: the inverse of :meth:`intern`."""
+        h, r, t = triple
+        return self.entities[h], self.relations[r], self.entities[t]
+
     def sha256(self) -> str:
         """Content hash covering labels *and* their order (ids depend on order)."""
         payload = json.dumps([list(self.entities), list(self.relations)], ensure_ascii=False)
@@ -136,30 +142,23 @@ def split_vocab(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SplitDataset:
     """Train/valid/test triples over one shared vocabulary.
 
-    Splits are stored as :func:`as_triples` arrays. ``line_numbers`` maps
-    each triple back to its 1-based line in the source file so corrections
-    can be byte-exact; programmatic datasets default to 1..n.
-    ``source_dir`` is set by the loader and is needed only for writing
-    corrected copies.
+    Splits are stored as :func:`as_triples` arrays. Row ``i`` of a split is
+    line ``i + 1`` of its file, which makes a correction a byte-exact
+    removal of lines. Construction refuses ids outside the vocabulary, a
+    row repeated within a split and a row shared by two splits.
+    ``source_dir`` is set by the loader; it names the files in errors and
+    is needed for writing corrected copies.
     """
 
     vocab: Vocabulary
     train: np.ndarray
     valid: np.ndarray
     test: np.ndarray
-    line_numbers: dict[str, tuple[int, ...]] = field(default_factory=dict, repr=False)
     source_dir: str | None = None
 
     def __post_init__(self) -> None:
-        lines = dict(self.line_numbers)
         for name in SPLIT_NAMES:
-            split = as_triples(getattr(self, name))
-            object.__setattr__(self, name, split)
-            if name not in lines:
-                lines[name] = tuple(range(1, len(split) + 1))
-            elif len(lines[name]) != len(split):
-                raise DatasetError(f"line_numbers for {name} do not match split size")
-        object.__setattr__(self, "line_numbers", lines)
+            object.__setattr__(self, name, as_triples(getattr(self, name)))
         self._validate()
 
     def split(self, name: str) -> np.ndarray:
@@ -180,16 +179,26 @@ class SplitDataset:
                 tr = Triple._make(split[outside.argmax()].tolist())
                 raise DatasetError(f"{name} triple {tr} has ids outside the vocabulary")
         n = _key_base(self.train, self.valid, self.test)
-        keys = {name: _keys(*self.split(name).T, n) for name in SPLIT_NAMES}
+        keys, sorted_keys = {}, {}
+        for name in SPLIT_NAMES:
+            split = self.split(name)
+            keys[name] = k = _keys(*split.T, n)
+            sorted_keys[name] = s = np.sort(k)
+            if (s[1:] == s[:-1]).any():
+                first = np.unique(k, return_index=True)[1]  # first row of each distinct key
+                i = int(np.setdiff1d(np.arange(len(k)), first)[0])  # first repeat in file order
+                j = int(np.flatnonzero(k == k[i])[0])
+                where = str(Path(self.source_dir) / f"{name}.txt") if self.source_dir else name
+                raise DatasetError(f"{where}:{i + 1}: duplicate triple "
+                                   f"{self.vocab.labels(split[i].tolist())} (first seen on "
+                                   f"line {j + 1}); duplicates distort metric denominators")
         for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
-            known = np.sort(keys[a])
+            known = sorted_keys[a]
             if not len(known):
                 continue
             shared = known.take(known.searchsorted(keys[b]), mode="clip") == keys[b]
             if shared.any():
-                h, r, t = self.split(b)[shared.argmax()].tolist()
-                labels = (self.vocab.entity_label(h), self.vocab.relation_label(r),
-                          self.vocab.entity_label(t))
+                labels = self.vocab.labels(self.split(b)[shared.argmax()].tolist())
                 raise DatasetError(f"splits {a} and {b} overlap, e.g. {labels}")
 
 

@@ -295,7 +295,7 @@ def _setup(params: ModelParams, dataset: SplitDataset, split: str, policy: str,
     if policy == "exclude":
         if split in ("valid", "test"):
             removed = detect_oov(dataset).removed_line_numbers(split)
-            triples = triples[~np.isin(dataset.line_numbers[split], list(removed))]
+            triples = np.delete(triples, [line_no - 1 for line_no in removed], axis=0)
         ent_candidates, rel_candidates = split_vocab(dataset.train)
     else:
         ent_candidates = np.arange(vocab.n_entities, dtype=np.int64)

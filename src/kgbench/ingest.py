@@ -6,6 +6,11 @@ are opaque byte strings after UTF-8 validation; nothing is case-folded or
 normalized, since benchmark labels such as Freebase mids would silently
 merge otherwise. Some YAGO3-10 distributions use spaces, hence the
 any-whitespace separator fallback.
+
+No line is dropped or merged on the way in: only trailing blank lines
+are skipped, and a repeated triple is refused, so row ``i`` of a loaded
+split is line ``i + 1`` of its file and a corrected copy is its original
+minus whole lines.
 """
 
 from __future__ import annotations
@@ -13,17 +18,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .audit import OovReport
-from .core import DatasetError, LabeledTriple, SplitDataset, Vocabulary, build_vocabulary
+from .core import (DatasetError, LabeledTriple, SplitDataset, Vocabulary, as_triples,
+                   build_vocabulary)
 from .version import __version__
-
-log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
 
@@ -98,27 +101,6 @@ def parse_triples(data: bytes, separator: str = "tab",
     return triples
 
 
-def _dedupe(labeled: list[LabeledTriple], path: Path,
-            allow: bool) -> tuple[list[LabeledTriple], list[int]]:
-    seen: dict[LabeledTriple, int] = {}
-    kept: list[LabeledTriple] = []
-    lines: list[int] = []
-    for line_no, triple in enumerate(labeled, start=1):
-        if triple in seen:
-            if not allow:
-                raise DatasetError(
-                    f"{path}:{line_no}: duplicate triple {triple} "
-                    f"(first seen on line {seen[triple]}); duplicates distort metric "
-                    f"denominators; pass dedupe=True to drop them"
-                )
-            log.warning("%s:%d: dropping duplicate triple %s", path, line_no, triple)
-            continue
-        seen[triple] = line_no
-        kept.append(triple)
-        lines.append(line_no)
-    return kept, lines
-
-
 def _intern(vocab: Vocabulary, labeled: list[LabeledTriple]) -> np.ndarray:
     """The ``(n, 3)`` id array of labeled triples, with no Python object per row."""
     lookups = itertools.cycle((vocab.entity_ids, vocab.relation_ids, vocab.entity_ids))
@@ -126,30 +108,24 @@ def _intern(vocab: Vocabulary, labeled: list[LabeledTriple]) -> np.ndarray:
     return np.fromiter(ids, dtype=np.int64, count=3 * len(labeled)).reshape(-1, 3)
 
 
-def load_dataset(layout: DatasetLayout, dedupe: bool = False) -> SplitDataset:
+def load_dataset(layout: DatasetLayout) -> SplitDataset:
     """Parse all three splits and intern them over one shared vocabulary.
 
     The vocabulary spans train, valid and test (the practice that makes
     OOV ids scoreable at all); ids follow first occurrence in that order.
-    Duplicate triples within a split are an error unless ``dedupe`` is set;
-    overlap between splits is always an error.
+    Row ``i`` of each split is line ``i + 1`` of its file. A triple repeated
+    within a split or shared by two splits is refused by :class:`SplitDataset`.
     """
     layout.check()
-    labeled: dict[str, list[LabeledTriple]] = {}
-    line_numbers: dict[str, tuple[int, ...]] = {}
-    for split in ("train", "valid", "test"):
-        p = layout.path(split)
-        triples = parse_triples(p.read_bytes(), layout.separator, str(p))
-        triples, lines = _dedupe(triples, p, dedupe)
-        labeled[split] = triples
-        line_numbers[split] = tuple(lines)
+    labeled = {split: parse_triples(layout.path(split).read_bytes(), layout.separator,
+                                    str(layout.path(split)))
+               for split in ("train", "valid", "test")}
     vocab = build_vocabulary(
         t for split in ("train", "valid", "test") for t in labeled[split]
     )
     return SplitDataset(
         vocab,
         *(_intern(vocab, labeled[split]) for split in ("train", "valid", "test")),
-        line_numbers=line_numbers,
         source_dir=str(layout.dir),
     )
 
@@ -158,11 +134,6 @@ def _filter_lines(data: bytes, removed: frozenset[int]) -> bytes:
     lines = data.split(b"\n")
     kept = [line for i, line in enumerate(lines, start=1) if i not in removed]
     return b"\n".join(kept)
-
-
-def _labels_of(dataset: SplitDataset, triple) -> tuple[str, str, str]:
-    v, (h, r, t) = dataset.vocab, triple
-    return v.entity_label(h), v.relation_label(r), v.entity_label(t)
 
 
 def write_corrected(dataset: SplitDataset, removal: OovReport, out_dir: Path,
@@ -180,14 +151,13 @@ def write_corrected(dataset: SplitDataset, removal: OovReport, out_dir: Path,
         raise FileExistsError("refusing to overwrite the input dataset in place")
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         raise FileExistsError(f"output directory {out_dir} is not empty (use force)")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     sources: dict[str, bytes] = {}
     for split in ("train", "valid", "test"):
         if src_dir is not None:
             sources[split] = (src_dir / f"{split}.txt").read_bytes()
         else:
-            rows = [_labels_of(dataset, tr) for tr in dataset.split(split).tolist()]
+            rows = [dataset.vocab.labels(tr) for tr in dataset.split(split).tolist()]
             text = "".join("\t".join(row) + "\n" for row in rows)
             sources[split] = text.encode("utf-8")
 
@@ -197,21 +167,24 @@ def write_corrected(dataset: SplitDataset, removal: OovReport, out_dir: Path,
     outputs: dict[str, bytes] = {"train": sources["train"]}
     for split in ("valid", "test"):
         affected = removal.split(split).affected
-        known_lines = set(dataset.line_numbers[split])
-        for a in affected:
-            if a.line_no not in known_lines:
-                raise DatasetError(
-                    f"removal entry {split}:{a.line_no} does not match this dataset"
-                )
+        rows = dataset.split(split)
+        lines = np.array([a.line_no for a in affected], dtype=np.int64)
+        matches = (lines >= 1) & (lines <= len(rows))
+        matches[matches] = (rows[lines[matches] - 1]
+                            == as_triples([a.triple for a in affected])[matches]).all(axis=1)
+        if not matches.all():
+            raise DatasetError(f"removal entry {split}:{affected[matches.argmin()].line_no} "
+                               "does not match this dataset")
         outputs[split] = _filter_lines(sources[split], removal.removed_line_numbers(split))
         counts_removed[split] = len(affected)
         for a in affected:
-            h, r, t = _labels_of(dataset, a.triple)
+            h, r, t = dataset.vocab.labels(a.triple)
             removed_entries.append(
                 {"split": split, "line_no": a.line_no, "h": h, "r": r, "t": t,
                  "oov_fields": list(a.oov_fields)}
             )
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     for split in ("train", "valid", "test"):
         (out_dir / f"{split}.txt").write_bytes(outputs[split])
 

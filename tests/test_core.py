@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kgbench import (
     DatasetError,
     FilterIndex,
     SplitDataset,
     Triple,
+    Vocabulary,
     build_vocabulary,
     filter_index_build,
     split_vocab,
@@ -61,6 +62,25 @@ def test_split_vocab_examples():
 def test_split_dataset_rejects_overlap():
     with pytest.raises(DatasetError, match="overlap"):
         make_dataset([("a", "p", "b")], [("a", "p", "b")], [("b", "p", "a")])
+
+
+_rows = st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=6)
+
+
+@settings(max_examples=300)
+@given(_rows, _rows, _rows)
+def test_split_dataset_refuses_exactly_repeated_and_shared_rows(train, valid, test):
+    splits = (train, valid, test)
+    repeated = any(len(set(rows)) < len(rows) for rows in splits)
+    shared = any(set(a) & set(b) for a, b in ((train, valid), (train, test), (valid, test)))
+    v = Vocabulary(("a", "b", "c", "d"), ("p", "q", "r", "s"))
+    if not (repeated or shared):
+        ds = SplitDataset(v, *splits)
+        assert [ds.split(n).tolist() for n in ("train", "valid", "test")] == \
+            [[list(row) for row in rows] for rows in splits]
+        return
+    with pytest.raises(DatasetError, match="duplicate" if repeated else "overlap"):
+        SplitDataset(v, *splits)
 
 
 def test_split_dataset_rejects_bad_ids():
@@ -218,3 +238,11 @@ def test_split_errors_name_the_triple():
     with pytest.raises(DatasetError, match=overlap):
         SplitDataset(vocab=v, train=[(0, 0, 1)], valid=[(1, 0, 0), (1, 0, 2)],
                      test=[(2, 0, 0), (1, 0, 2)])
+    # a repeat names its split, or its file, both lines and the labels
+    with pytest.raises(DatasetError, match=r"^test:2: duplicate triple \('b', 'p', 'a'\) "
+                                           r"\(first seen on line 1\)"):
+        make_dataset([("a", "p", "b")], [("a", "p", "c")], [("b", "p", "a"), ("b", "p", "a")])
+    # the first repeat in file order, not the smallest repeated row
+    with pytest.raises(DatasetError, match=r"^d[/\\]train\.txt:3: duplicate triple "
+                                           r"\('b', 'p', 'c'\) \(first seen on line 2\)"):
+        SplitDataset(v, [(0, 0, 1), (1, 0, 2), (1, 0, 2), (0, 0, 1)], (), (), source_dir="d")

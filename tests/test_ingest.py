@@ -90,7 +90,6 @@ def test_load_dataset_counts_and_vocab(tmp_path):
     assert (len(ds.train), len(ds.valid), len(ds.test)) == (3, 1, 2)
     assert ds.vocab.entities == ("a", "b", "c", "new")
     assert ds.vocab.relations == ("p", "q")
-    assert ds.line_numbers["test"] == (1, 2)
     assert ds.source_dir == str(tmp_path / "toy")
 
 
@@ -114,17 +113,6 @@ def test_load_dataset_duplicate_triple_rejected(tmp_path):
                           valid=[("a", "q", "b")], test=[("b", "p", "a")])
     with pytest.raises(DatasetError, match="duplicate"):
         load_dataset(DatasetLayout(dir=d))
-
-
-def test_load_dataset_dedupe_flag_drops_with_warning(tmp_path, caplog):
-    d = write_split_files(tmp_path / "dup",
-                          train=[("a", "p", "b"), ("a", "p", "b"), ("b", "p", "c")],
-                          valid=[("a", "q", "b")], test=[("b", "q", "a")])
-    with caplog.at_level("WARNING"):
-        ds = load_dataset(DatasetLayout(dir=d), dedupe=True)
-    assert len(ds.train) == 2
-    assert ds.line_numbers["train"] == (1, 3)
-    assert any("duplicate" in rec.message for rec in caplog.records)
 
 
 def test_load_dataset_overlap_between_splits(tmp_path):
@@ -202,6 +190,26 @@ def test_write_corrected_manifest_contents_and_schema(tmp_path):
     assert removed == {"split": "test", "line_no": 2, "h": "new", "r": "p", "t": "a",
                        "oov_fields": ["h"]}
     assert len(manifest["input_sha256"]) == 3
+
+
+def test_write_corrected_refuses_a_report_of_another_dataset(tmp_path):
+    shared = {"train": [("a", "p", "b"), ("b", "p", "c"), ("c", "p", "a")],
+              "valid": [("a", "p", "c")]}
+    a = load_dataset(DatasetLayout(dir=write_split_files(
+        tmp_path / "a", **shared, test=[("b", "p", "a"), ("x", "p", "a")])))
+    longer = load_dataset(DatasetLayout(dir=write_split_files(
+        tmp_path / "longer", **shared, test=[("b", "p", "a"), ("c", "p", "b"), ("x", "p", "a")])))
+    b = load_dataset(DatasetLayout(dir=write_split_files(
+        tmp_path / "b", **shared, test=[("y", "p", "a"), ("c", "p", "b")])))
+    # a's OOV line 2 holds another triple in b; longer's OOV line 3 is past b's end
+    for other, line_no in ((a, 2), (longer, 3)):
+        out = tmp_path / f"out{line_no}"
+        with pytest.raises(DatasetError,
+                           match=f"removal entry test:{line_no} does not match this dataset"):
+            write_corrected(b, detect_oov(other), out)
+        assert not out.exists()
+    write_corrected(b, detect_oov(b), tmp_path / "own")
+    assert (tmp_path / "own" / "test.txt").read_text() == "c\tp\tb\n"
 
 
 def test_write_corrected_refuses_nonempty_out_dir(tmp_path):
