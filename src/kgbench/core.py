@@ -10,6 +10,7 @@ int64 array of ``(h, r, t)`` id rows; ``Triple`` names a single triple.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,22 +37,25 @@ SPLIT_NAMES = ("train", "valid", "test")
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Bidirectional label <-> dense-id mapping for entities and relations."""
+    """Bidirectional label <-> dense-id mapping for entities and relations.
+
+    Label ``i`` of ``entities`` or ``relations`` has id ``i``; the
+    ``entity_ids`` and ``relation_ids`` dicts are always derived from the
+    label order, never passed in.
+    """
 
     entities: tuple[str, ...]
     relations: tuple[str, ...]
-    entity_ids: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
-    relation_ids: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
+    entity_ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    relation_ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.entity_ids:
-            object.__setattr__(self, "entity_ids", {e: i for i, e in enumerate(self.entities)})
-        if not self.relation_ids:
-            object.__setattr__(self, "relation_ids", {r: i for i, r in enumerate(self.relations)})
-        if len(self.entity_ids) != len(self.entities):
-            raise DatasetError("duplicate entity labels in vocabulary")
-        if len(self.relation_ids) != len(self.relations):
-            raise DatasetError("duplicate relation labels in vocabulary")
+        for labels, ids, kind in ((self.entities, "entity_ids", "entity"),
+                                  (self.relations, "relation_ids", "relation")):
+            lookup = dict(zip(labels, itertools.count()))
+            if len(lookup) != len(labels):
+                raise DatasetError(f"duplicate {kind} labels in vocabulary")
+            object.__setattr__(self, ids, lookup)
 
     @property
     def n_entities(self) -> int:
@@ -88,15 +92,23 @@ class Vocabulary:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def build_vocabulary(triples: Iterable[LabeledTriple]) -> Vocabulary:
-    """Intern labels in first-occurrence order; duplicates collapse silently."""
-    entities: dict[str, None] = {}
-    relations: dict[str, None] = {}
-    for h, r, t in triples:
-        entities.setdefault(h, None)
-        relations.setdefault(r, None)
-        entities.setdefault(t, None)
-    return Vocabulary(tuple(entities), tuple(relations))
+def build_vocabulary(triples: np.ndarray | Iterable[LabeledTriple]) -> Vocabulary:
+    """Intern labels in first-occurrence order; duplicates collapse silently.
+
+    ``triples`` is an ``(n, 3)`` label array, such as
+    :func:`kgbench.ingest.parse_triples` returns, or any iterable of
+    ``(h, r, t)`` label triples, which is converted to one first.
+    Entities are numbered in the order h, t of row 0, then h, t of row 1,
+    and so on; relations in row order.
+    """
+    if not isinstance(triples, np.ndarray):
+        triples = np.array(list(triples), dtype=object)
+    if triples.size == 0:
+        triples = triples.reshape(0, 3)
+    if triples.ndim != 2 or triples.shape[1] != 3:
+        raise DatasetError(f"labeled triples must form an (n, 3) array, got shape {triples.shape}")
+    return Vocabulary(tuple(dict.fromkeys(triples[:, [0, 2]].ravel())),
+                      tuple(dict.fromkeys(triples[:, 1])))
 
 
 def as_triples(triples: np.ndarray | Iterable[tuple[int, int, int]]) -> np.ndarray:

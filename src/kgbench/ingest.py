@@ -2,10 +2,17 @@
 
 File format: UTF-8 text without a byte order mark, one
 ``head<TAB>relation<TAB>tail`` triple per line (LF line endings). Labels
-are opaque byte strings after UTF-8 validation; nothing is case-folded or
+are opaque strings after UTF-8 validation; nothing is case-folded or
 normalized, since benchmark labels such as Freebase mids would silently
 merge otherwise. Some YAGO3-10 distributions use spaces, hence the
-any-whitespace separator fallback.
+any-whitespace separator ``ws``, which splits a line as :meth:`str.split`
+does, Unicode whitespace included.
+
+A split is parsed whole: one ``split`` of the file's text gives its labels
+as a read-only ``(n, 3)`` object array, the field count of every line is
+checked at once, and no Python object is made per row. The vocabulary is
+built from the three label arrays in one first-occurrence pass, then each
+label column is mapped to ids.
 
 No line is dropped or merged on the way in: only trailing blank lines
 are skipped, and a repeated triple is refused, so row ``i`` of a loaded
@@ -24,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import OovReport
-from .core import (DatasetError, LabeledTriple, SplitDataset, Vocabulary, as_triples,
+from .core import (SPLIT_NAMES, DatasetError, SplitDataset, Vocabulary, as_triples,
                    build_vocabulary)
 from .version import __version__
 
@@ -62,23 +69,22 @@ class DatasetLayout:
                 raise DatasetError(f"split file is empty: {p}")
 
 
-def _split_fields(line: str, separator: str) -> list[str]:
-    if separator == "tab":
-        return line.split("\t")
-    if separator == "ws":
-        return line.split()
-    raise ValueError(f"unknown separator {separator!r} (expected 'tab' or 'ws')")
-
-
 def parse_triples(data: bytes, separator: str = "tab",
-                  path: str | None = None) -> list[LabeledTriple]:
-    """Parse one split file; preserves file order, labels verbatim.
+                  path: str | None = None) -> np.ndarray:
+    """Parse one split file into a read-only ``(n, 3)`` object array of ``str`` labels.
 
-    Trailing empty lines are ignored; any other line must have exactly three
-    fields and no carriage return, and the file must not start with a byte
-    order mark, or a :class:`ParseError` carrying its 1-based line number is
-    raised.
+    Row ``i`` is line ``i + 1``; labels are kept verbatim. Trailing empty
+    lines are ignored; any other line must have exactly three fields and
+    no carriage return, and the file must not start with a byte order
+    mark, or a :class:`ParseError` carrying its 1-based line number is
+    raised. Lines end at ``"\\n"`` only. With ``separator="tab"`` fields
+    are separated by single tabs, so a label may hold spaces and be empty;
+    with ``"ws"`` they are separated by runs of whitespace as
+    :meth:`str.split` defines it, which includes Unicode whitespace such
+    as U+00A0, U+0085 and U+2028 inside a line.
     """
+    if separator not in ("tab", "ws"):
+        raise ValueError(f"unknown separator {separator!r} (expected 'tab' or 'ws')")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -89,23 +95,38 @@ def parse_triples(data: bytes, separator: str = "tab",
     if "\r" in text:
         raise ParseError("carriage return found; split files must use LF line endings",
                          text.count("\n", 0, text.index("\r")) + 1, path)
-    lines = text.split("\n")
-    while lines and lines[-1] == "":
-        lines.pop()
-    triples: list[LabeledTriple] = []
-    for line_no, line in enumerate(lines, start=1):
-        fields = _split_fields(line, separator)
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 fields, got {len(fields)}", line_no, path)
-        triples.append((fields[0], fields[1], fields[2]))
+    body = text.rstrip("\n")
+    if separator == "tab":
+        # Tab and LF are single bytes that occur in no other UTF-8 character.
+        # In the file's tabs and LFs, plus an LF that ends the last line, line
+        # i has as many fields as the places from the LF before it to its own.
+        raw = np.frombuffer(data, np.uint8, count=len(data) - (len(text) - len(body)))
+        separators = raw[np.flatnonzero(raw <= 10)]
+        separators = np.append(separators[separators >= 9], 10)
+        line_ends = np.flatnonzero(separators == 10) if body else []
+        n_fields = np.diff(line_ends, prepend=-1)
+        labels = body.replace("\n", "\t").split("\t") if body else []
+    else:
+        rows = list(map(str.split, body.split("\n"))) if body else []
+        n_fields = np.fromiter(map(len, rows), np.int64, len(rows))
+        labels = itertools.chain.from_iterable(rows)
+    n = len(n_fields)
+    bad = np.flatnonzero(n_fields != 3)
+    if bad.size:
+        raise ParseError(f"expected 3 fields, got {n_fields[bad[0]]}", int(bad[0]) + 1, path)
+    triples = np.fromiter(labels, object, 3 * n).reshape(n, 3)
+    triples.flags.writeable = False
     return triples
 
 
-def _intern(vocab: Vocabulary, labeled: list[LabeledTriple]) -> np.ndarray:
-    """The ``(n, 3)`` id array of labeled triples, with no Python object per row."""
-    lookups = itertools.cycle((vocab.entity_ids, vocab.relation_ids, vocab.entity_ids))
-    ids = map(dict.__getitem__, lookups, itertools.chain.from_iterable(labeled))
-    return np.fromiter(ids, dtype=np.int64, count=3 * len(labeled)).reshape(-1, 3)
+def _intern(vocab: Vocabulary, labeled: np.ndarray) -> np.ndarray:
+    """The read-only ``(n, 3)`` id array of an ``(n, 3)`` label array, column by column."""
+    ids = np.empty(labeled.shape, dtype=np.int64)
+    for col, lookup in enumerate((vocab.entity_ids, vocab.relation_ids, vocab.entity_ids)):
+        ids[:, col] = np.fromiter(map(lookup.__getitem__, labeled[:, col]), np.int64,
+                                  len(labeled))
+    ids.flags.writeable = False
+    return ids
 
 
 def load_dataset(layout: DatasetLayout) -> SplitDataset:
@@ -117,17 +138,12 @@ def load_dataset(layout: DatasetLayout) -> SplitDataset:
     within a split or shared by two splits is refused by :class:`SplitDataset`.
     """
     layout.check()
-    labeled = {split: parse_triples(layout.path(split).read_bytes(), layout.separator,
-                                    str(layout.path(split)))
-               for split in ("train", "valid", "test")}
-    vocab = build_vocabulary(
-        t for split in ("train", "valid", "test") for t in labeled[split]
-    )
-    return SplitDataset(
-        vocab,
-        *(_intern(vocab, labeled[split]) for split in ("train", "valid", "test")),
-        source_dir=str(layout.dir),
-    )
+    labeled = [parse_triples(layout.path(split).read_bytes(), layout.separator,
+                             str(layout.path(split)))
+               for split in SPLIT_NAMES]
+    vocab = build_vocabulary(np.concatenate(labeled))
+    return SplitDataset(vocab, *(_intern(vocab, split) for split in labeled),
+                        source_dir=str(layout.dir))
 
 
 def _filter_lines(data: bytes, removed: frozenset[int]) -> bytes:

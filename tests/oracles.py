@@ -4,15 +4,23 @@ Everything here deliberately avoids the code paths under test: scores are
 straight-line Python loops (complex arithmetic via the complex type),
 ranking materializes/sorts/scans full candidate lists, index queries are
 linear scans, degree stats are hand-rolled tallies, and the Wilcoxon
-reference literally enumerates all 2^n sign assignments.
+reference literally enumerates all 2^n sign assignments. The reference
+loader parses one line at a time into label tuples, numbers labels with
+``setdefault`` and checks repeats with Python sets.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
+
+from kgbench import DatasetError, ParseError
+from kgbench.ingest import EncodingError
+
+SPLITS = ("train", "valid", "test")
 
 
 def scalar_score(kind: str, dim: int, e_h, rel, e_t) -> float:
@@ -190,3 +198,68 @@ def enumerate_wilcoxon_p(diffs) -> float:
     assert count == 2 ** len(nonzero)
     assert total_mass == len(nonzero) * (len(nonzero) + 1) / 2
     return min(1.0, 2.0 * min(n_le, n_ge) / count)
+
+
+def reference_parse(data: bytes, separator: str, path: str | None = None
+                    ) -> list[tuple[str, str, str]]:
+    """Split file -> label tuples, one line at a time, with the library's errors."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{path or 'input'} is not valid UTF-8: {exc}") from exc
+    if text.startswith("\ufeff"):
+        raise ParseError("byte order mark (U+FEFF) found; split files must be UTF-8 "
+                         "without a BOM", 1, path)
+    if "\r" in text:
+        raise ParseError("carriage return found; split files must use LF line endings",
+                         text.count("\n", 0, text.index("\r")) + 1, path)
+    lines = text.split("\n")
+    while lines and lines[-1] == "":
+        lines.pop()
+    triples = []
+    for line_no, line in enumerate(lines, start=1):
+        fields = line.split("\t") if separator == "tab" else line.split()
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 fields, got {len(fields)}", line_no, path)
+        triples.append((fields[0], fields[1], fields[2]))
+    return triples
+
+
+def reference_load(directory: Path, separator: str
+                   ) -> tuple[tuple[str, ...], tuple[str, ...], list[list[list[int]]]]:
+    """``load_dataset`` by loops: (entities, relations, id rows of each split).
+
+    Raises what ``load_dataset`` raises, with the same message.
+    """
+    paths = [Path(directory) / f"{split}.txt" for split in SPLITS]
+    for path in paths:
+        if not path.is_file():
+            raise FileNotFoundError(f"missing split file: {path}")
+        if path.stat().st_size == 0:
+            raise DatasetError(f"split file is empty: {path}")
+    labeled = [reference_parse(path.read_bytes(), separator, str(path)) for path in paths]
+    entities: dict[str, None] = {}
+    relations: dict[str, None] = {}
+    for triples in labeled:
+        for h, r, t in triples:
+            entities.setdefault(h, None)
+            relations.setdefault(r, None)
+            entities.setdefault(t, None)
+    for path, triples in zip(paths, labeled):
+        first_line: dict[tuple, int] = {}
+        for line_no, triple in enumerate(triples, start=1):
+            if triple in first_line:
+                raise DatasetError(f"{path}:{line_no}: duplicate triple {triple} (first seen on "
+                                   f"line {first_line[triple]}); duplicates distort metric "
+                                   "denominators")
+            first_line[triple] = line_no
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        known = set(labeled[a])
+        for triple in labeled[b]:
+            if triple in known:
+                raise DatasetError(f"splits {SPLITS[a]} and {SPLITS[b]} overlap, e.g. {triple}")
+    entity_ids = {e: i for i, e in enumerate(entities)}
+    relation_ids = {r: i for i, r in enumerate(relations)}
+    ids = [[[entity_ids[h], relation_ids[r], entity_ids[t]] for h, r, t in triples]
+           for triples in labeled]
+    return tuple(entities), tuple(relations), ids

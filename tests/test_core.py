@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,27 @@ def test_build_vocabulary_dedups_and_orders():
     assert v.relations == ("p",)
     assert v.entity_id("b") == 1
     assert v.relation_label(0) == "p"
+
+
+def test_build_vocabulary_takes_a_label_array_or_triples():
+    triples = [("z", "q", "a"), ("a", "p", "y")]
+    assert build_vocabulary(np.array(triples, dtype=object)) == build_vocabulary(iter(triples))
+    with pytest.raises(DatasetError, match=r"\(n, 3\)"):
+        build_vocabulary([("a", "p")])
+
+
+def test_vocabulary_ids_are_derived_from_the_label_order():
+    v = Vocabulary(("a", "b"), ("p",))
+    assert v.entity_ids == {"a": 0, "b": 1} and v.relation_ids == {"p": 0}
+    assert dataclasses.replace(v, entities=("b", "a")).entity_ids == {"b": 0, "a": 1}
+    with pytest.raises(TypeError):
+        Vocabulary(("a", "b"), ("p",), entity_ids={"b": 0, "a": 1})
+    with pytest.raises(TypeError):
+        Vocabulary(("a", "b"), ("p",), relation_ids={"q": 0})
+    with pytest.raises(ValueError):
+        dataclasses.replace(v, entity_ids={"b": 0, "a": 1})
+    with pytest.raises(DatasetError, match="duplicate entity"):
+        Vocabulary(("a", "a"), ("p",))
 
 
 def test_vocabulary_first_occurrence_is_deterministic():

@@ -1,12 +1,16 @@
+import codecs
 import json
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from kgbench import DatasetError, ParseError, detect_oov, load_dataset, parse_triples, write_corrected
+import oracles
+from kgbench import (DatasetError, ParseError, SplitDataset, detect_oov, load_dataset,
+                     parse_triples, write_corrected)
 from kgbench.ingest import DatasetLayout, EncodingError
 
 from conftest import write_split_files
@@ -15,16 +19,16 @@ SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "kgbench" / "schem
 
 
 def test_parse_single_line():
-    assert parse_triples(b"a\tp\tb\n") == [("a", "p", "b")]
+    assert parse_triples(b"a\tp\tb\n").tolist() == [["a", "p", "b"]]
 
 
 def test_parse_preserves_order_and_labels_verbatim():
     data = b"A a\tp\tb\nb\tp\tA a\n"
-    assert parse_triples(data) == [("A a", "p", "b"), ("b", "p", "A a")]
+    assert parse_triples(data).tolist() == [["A a", "p", "b"], ["b", "p", "A a"]]
 
 
 def test_parse_ignores_trailing_empty_lines():
-    assert parse_triples(b"a\tp\tb\n\n\n") == [("a", "p", "b")]
+    assert parse_triples(b"a\tp\tb\n\n\n").tolist() == [["a", "p", "b"]]
 
 
 def test_parse_two_fields_errors_with_line_number():
@@ -54,7 +58,7 @@ def test_parse_invalid_utf8():
 
 
 def test_parse_whitespace_separator():
-    assert parse_triples(b"a  p\tb\n", separator="ws") == [("a", "p", "b")]
+    assert parse_triples(b"a  p\tb\n", separator="ws").tolist() == [["a", "p", "b"]]
 
 
 # fragments that make likely edge cases of a split file: separators, line
@@ -70,10 +74,78 @@ def test_parse_returns_str_triples_or_raises(data, separator):
         triples = parse_triples(data, separator)
     except (ParseError, EncodingError):
         return
-    for triple in triples:
-        assert type(triple) is tuple and len(triple) == 3
-        assert all(type(label) is str for label in triple)
-    assert not triples or not triples[0][0].startswith("\ufeff")
+    assert type(triples) is np.ndarray and triples.dtype == object
+    assert triples.ndim == 2 and triples.shape[1] == 3 and not triples.flags.writeable
+    assert all(type(label) is str for label in triples.flat)
+    # a byte order mark is refused, never read into the first label; with
+    # "ws", a U+FEFF after leading whitespace is part of a label
+    assert not data.startswith(codecs.BOM_UTF8)
+
+
+_PLAIN = ["a", "b", "c", "é", "日本"]
+# labels with a space, whitespace that str.split() splits on (U+00A0,
+# U+0085, U+2028 and the unit separator U+001F), a control byte below the
+# tab's, and the empty label
+_TRICKY = ["a b", "x\xa0y", "\x85", "p\u2028q", "u\x1fv", "\x08", ""]
+
+
+@st.composite
+def _split_files(draw, separator: str) -> list[bytes]:
+    """Three split files of distinct 3-field lines, then at most one fault in one of them."""
+    labels = st.sampled_from(draw(st.sampled_from([_PLAIN, _PLAIN + _TRICKY])))
+    label = st.sampled_from(draw(st.lists(labels, min_size=2, max_size=5, unique=True)))
+    rows = draw(st.lists(st.lists(label, min_size=3, max_size=3), min_size=1, max_size=10,
+                         unique_by=tuple))
+    cut = sorted(draw(st.lists(st.integers(0, len(rows)), min_size=2, max_size=2)))
+    splits = [rows[:cut[0]], rows[cut[0]:cut[1]], rows[cut[1]:]]
+    fault = draw(st.sampled_from([None] * 4 + ["2 fields", "4 fields", "blank", "repeat",
+                                              "\r", "bom", "\xff", "empty"]))
+    k = draw(st.integers(0, 2))
+    if fault in ("2 fields", "4 fields", "blank") and splits[k]:
+        i = draw(st.integers(0, len(splits[k]) - 1))
+        splits[k][i] = {"2 fields": splits[k][i][:2], "4 fields": splits[k][i] + ["z"],
+                        "blank": []}[fault]
+    elif fault == "repeat" and rows:
+        splits[k].insert(draw(st.integers(0, len(splits[k]))), draw(st.sampled_from(rows)))
+    joins = st.just("\t") if separator == "tab" else st.sampled_from(["\t", " ", " \t\x0b"])
+    files = [("\n".join(draw(joins).join(row) for row in split)
+              + "\n" * draw(st.integers(0 if split else 1, 2))).encode()
+             for split in splits]
+    if fault == "bom":
+        files[k] = "\ufeff".encode() + files[k]
+    elif fault in ("\r", "\xff"):
+        at = draw(st.integers(0, len(files[k])))
+        files[k] = files[k][:at] + fault.encode("latin-1") + files[k][at:]
+    elif fault == "empty":
+        files[k] = b""
+    return files
+
+
+def _outcome(fn):
+    """What ``fn()`` returns, or the type, message and line number of what it raises."""
+    try:
+        return fn()
+    except (ParseError, EncodingError, DatasetError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["tab", "ws"]), st.data())
+def test_loader_equals_the_line_by_line_reference(separator, data):
+    files = data.draw(_split_files(separator))
+    with tempfile.TemporaryDirectory() as tmp:
+        for split, text in zip(oracles.SPLITS, files):
+            path = Path(tmp) / f"{split}.txt"
+            path.write_bytes(text)
+            assert _outcome(lambda: parse_triples(text, separator, str(path)).tolist()) == \
+                _outcome(lambda: [list(t) for t in oracles.reference_parse(text, separator,
+                                                                           str(path))])
+        layout = DatasetLayout(dir=Path(tmp), separator=separator)
+        got = _outcome(lambda: load_dataset(layout))
+        if isinstance(got, SplitDataset):
+            got = (got.vocab.entities, got.vocab.relations,
+                   [got.split(split).tolist() for split in oracles.SPLITS])
+        assert got == _outcome(lambda: oracles.reference_load(Path(tmp), separator))
 
 
 def _toy_files(tmp_path: Path) -> Path:
