@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -177,10 +177,6 @@ class SplitDataset:
         if name not in SPLIT_NAMES:
             raise KeyError(f"unknown split {name!r}")
         return getattr(self, name)
-
-    def all_triples(self) -> Iterator[Triple]:
-        for name in SPLIT_NAMES:
-            yield from map(Triple._make, self.split(name).tolist())
 
     def _validate(self) -> None:
         ne, nr = self.vocab.n_entities, self.vocab.n_relations

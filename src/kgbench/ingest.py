@@ -96,16 +96,19 @@ def parse_triples(data: bytes, separator: str = "tab",
         raise ParseError("carriage return found; split files must use LF line endings",
                          text.count("\n", 0, text.index("\r")) + 1, path)
     body = text.rstrip("\n")
+    trailing = len(text) - len(body)
+    del text  # so that only one copy of the text is alive while it is split
     if separator == "tab":
         # Tab and LF are single bytes that occur in no other UTF-8 character.
         # In the file's tabs and LFs, plus an LF that ends the last line, line
         # i has as many fields as the places from the LF before it to its own.
-        raw = np.frombuffer(data, np.uint8, count=len(data) - (len(text) - len(body)))
+        raw = np.frombuffer(data, np.uint8, count=len(data) - trailing)
         separators = raw[np.flatnonzero(raw <= 10)]
         separators = np.append(separators[separators >= 9], 10)
         line_ends = np.flatnonzero(separators == 10) if body else []
         n_fields = np.diff(line_ends, prepend=-1)
-        labels = body.replace("\n", "\t").split("\t") if body else []
+        body = body.replace("\n", "\t")
+        labels = body.split("\t") if body else []
     else:
         rows = list(map(str.split, body.split("\n"))) if body else []
         n_fields = np.fromiter(map(len, rows), np.int64, len(rows))

@@ -16,7 +16,11 @@ is also the score's gradient by that row. ``score``, ``grad`` and
 ``score_all_*`` all build on these queries.
 
 ``score`` and ``grad`` take one triple or equal-length id arrays of
-triples. ``score_all_tails``, ``score_all_heads`` and
+triples. A training batch runs in a few row arrays of its size: ComplEx's
+query fills the halves of one output, RESCAL's entity queries are one
+bare matrix product per relation, written in place, and ``grad``
+overwrites the gathered head and tail rows with their gradients once no
+query needs them. None of this reorders a floating-point operation. ``score_all_tails``, ``score_all_heads`` and
 ``score_all_relations`` take the two fixed slots as ints, for one row of
 candidate scores, or as equal-length id arrays, for an ``(m, N)`` block
 with one row per query: the block of queries times the candidate table
@@ -178,21 +182,40 @@ def _query(kind: str, dim: int, slot: str, a: np.ndarray, b: np.ndarray) -> np.n
 
     ``a`` and ``b`` are the rows of the other two slots in ``(h, r, t)``
     order: ``(w_r, e_t)`` for ``"h"``, ``(e_h, e_t)`` for ``"r"`` and
-    ``(e_h, w_r)`` for ``"t"``. Each is one row or one row per triple; a
-    RESCAL relation row is one ``(d, d)`` matrix that every triple shares.
+    ``(e_h, w_r)`` for ``"t"``. Each is one row or one row per triple. A
+    RESCAL entity query is one matrix product per relation, which
+    ``_rescal_queries`` computes; here RESCAL takes the relation slot only.
     """
     if kind == "distmult":
         return a * b
     if kind == "transe":
         return a + b if slot == "t" else b - a
     if kind == "rescal":
-        if slot == "r":
-            return a[..., :, None] * b[..., None, :]
-        return a @ b if slot == "t" else b @ a.T
+        return a[..., :, None] * b[..., None, :]
+    # ComplEx: e_h * w_r for "t", conj(a) * b otherwise. Each half is summed
+    # in a contiguous half-width array, then copied into one output: numpy
+    # runs a ufunc that writes a strided half several times slower.
     are, aim, bre, bim = a[..., :dim], a[..., dim:], b[..., :dim], b[..., dim:]
-    if slot == "t":  # e_h * w_r
-        return np.concatenate([are * bre - aim * bim, are * bim + aim * bre], axis=-1)
-    return np.concatenate([are * bre + aim * bim, are * bim - aim * bre], axis=-1)  # conj(a) * b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    first, second = (np.subtract, np.add) if slot == "t" else (np.add, np.subtract)
+    half, scratch = np.multiply(are, bre), np.multiply(aim, bim)
+    out[..., :dim] = first(half, scratch, out=half)
+    np.multiply(are, bim, out=half)
+    out[..., dim:] = second(half, np.multiply(aim, bre, out=scratch), out=half)
+    return out
+
+
+def _rescal_queries(R: np.ndarray, slot: str, blocks: list[tuple[int, slice]], rows: np.ndarray,
+                    out: np.ndarray) -> None:
+    """RESCAL's entity-slot queries of relation-sorted rows, written into ``out``.
+
+    ``rows`` are the other entity's rows in the order ``_relation_blocks``
+    sorted them, ``blocks`` its ``(relation id, slice)`` pairs. Slot ``"h"``
+    is ``e_t @ W_r.T`` and ``"t"`` is ``e_h @ W_r``: one matrix product per
+    relation, with no ``(m, d, d)`` gather.
+    """
+    for rel, block in blocks:
+        np.matmul(rows[block], R[rel].T if slot == "h" else R[rel], out=out[block])
 
 
 def _queries(params: ModelParams, slot: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,18 +225,16 @@ def _queries(params: ModelParams, slot: str, a: np.ndarray, b: np.ndarray) -> np
     order. RESCAL's relation query is a ``(d, d)`` matrix per triple.
     """
     E, R = params.entities, params.relations
-    kind, dim = params.kind, params.dim
-    if kind == "rescal" and slot != "r":  # one matmul per relation: no (m, d, d) gather
+    if params.kind == "rescal" and slot != "r":
         r, e = (a, b) if slot == "h" else (b, a)
         order, blocks = _relation_blocks(r)
         rows = E[e[order]]
-        q = np.empty_like(rows)
-        for rel, block in blocks:
-            pair = (R[rel], rows[block]) if slot == "h" else (rows[block], R[rel])
-            q[order[block]] = _query(kind, dim, slot, *pair)
-        return q
+        sorted_queries = np.empty_like(rows)
+        _rescal_queries(R, slot, blocks, rows, sorted_queries)
+        rows[order] = sorted_queries  # rows is no longer needed: it takes the queries unsorted
+        return rows
     a_table, b_table = (E, E) if slot == "r" else (R, E) if slot == "h" else (E, R)
-    return _query(kind, dim, slot, a_table[a], b_table[b])
+    return _query(params.kind, params.dim, slot, a_table[a], b_table[b])
 
 
 def score(params: ModelParams, h, r, t) -> float | np.ndarray:
@@ -415,16 +436,6 @@ class SparseGrad:
     relation_ids: np.ndarray
     relation_rows: np.ndarray
 
-    @property
-    def entities(self) -> dict[int, np.ndarray]:
-        """``{entity id: gradient row}``."""
-        return dict(zip(self.entity_ids.tolist(), self.entity_rows))
-
-    @property
-    def relations(self) -> dict[int, np.ndarray]:
-        """``{relation id: gradient row}``."""
-        return dict(zip(self.relation_ids.tolist(), self.relation_rows))
-
 
 def grad(params: ModelParams, h, r, t, upstream=1.0) -> SparseGrad:
     """Analytic gradient of ``sum_i upstream_i * score(h_i, r_i, t_i)``.
@@ -438,31 +449,48 @@ def grad(params: ModelParams, h, r, t, upstream=1.0) -> SparseGrad:
     h, r, t = _id_arrays(params, h=h, r=r, t=t)
     u = np.broadcast_to(np.asarray(upstream, dtype=np.float64), h.shape)[:, None]
     E, R = params.entities, params.relations
-    kind, dim = params.kind, params.dim
-    if kind == "rescal":  # one matmul per relation: no (m, d, d) gather
+    kind, dim, m = params.kind, params.dim, len(h)
+    # e_h and e_t are gathered into one (2m, w) array, and each half is
+    # overwritten by its gradient once no query needs it. The relation part
+    # is reduced first. So a batch holds only a few (m, w) arrays at a time.
+    if kind == "rescal":
         order, blocks = _relation_blocks(r)
         h, t, u = h[order], t[order], u[order]  # rows are reduced by id below
-        eh, et = E[h], E[t]
-        gh, gt = np.empty_like(eh), np.empty_like(et)
+    entity_ids = np.concatenate([h, t])
+    entity_rows = E[entity_ids]
+    eh, et = entity_rows[:m], entity_rows[m:]
+    if kind == "rescal":
         relation_ids = np.array([rel for rel, _ in blocks], dtype=np.int64)
         relation_rows = np.empty((len(blocks),) + R.shape[1:])
-        for i, (rel, block) in enumerate(blocks):
-            gh[block] = _query(kind, dim, "h", R[rel], et[block])
-            gt[block] = _query(kind, dim, "t", eh[block], R[rel])
-            relation_rows[i] = (u[block] * eh[block]).T @ et[block]  # sum of u * outer(e_h, e_t)
+        scaled = u * eh
+        for i, (_, block) in enumerate(blocks):  # sum of u * outer(e_h, e_t)
+            np.matmul(scaled[block].T, et[block], out=relation_rows[i])
+        _rescal_queries(R, "h", blocks, et, scaled)  # scaled is done with: it takes g_h
+        _rescal_queries(R, "t", blocks, eh, et)
+        np.multiply(u, scaled, out=eh)
+        et *= u
+        del scaled
+    elif kind == "transe":  # d score/d e_t = unit, and -unit for e_h and w_r
+        unit = _query(kind, dim, "t", eh, R[r])
+        unit -= et
+        nrm = np.linalg.norm(unit, axis=1, keepdims=True)
+        np.divide(unit, nrm, out=unit, where=nrm != 0.0)
+        unit[nrm[:, 0] == 0.0] = 0.0
+        np.multiply(u, unit, out=et)
+        del unit
+        np.negative(et, out=eh)  # u * -unit
+        relation_ids, relation_rows = _reduce_rows(r, eh)
     else:
-        eh, rel, et = E[h], R[r], E[t]
-        if kind == "transe":
-            delta = _query(kind, dim, "t", eh, rel) - et
-            nrm = np.linalg.norm(delta, axis=1, keepdims=True)
-            unit = np.divide(delta, nrm, out=np.zeros_like(delta), where=nrm != 0.0)
-            gh, gr, gt = -unit, -unit, unit
-        else:
-            gh, gr, gt = (_query(kind, dim, "h", rel, et), _query(kind, dim, "r", eh, et),
-                          _query(kind, dim, "t", eh, rel))
-        relation_ids, relation_rows = _reduce_rows(r, u * gr)
-    entity_ids, entity_rows = _reduce_rows(np.concatenate([h, t]),
-                                           np.concatenate([u * gh, u * gt]))
+        rel = R[r]
+        gr = _query(kind, dim, "r", eh, et)
+        gr *= u
+        relation_ids, relation_rows = _reduce_rows(r, gr)
+        del gr
+        gt = _query(kind, dim, "t", eh, rel)
+        np.multiply(u, _query(kind, dim, "h", rel, et), out=eh)
+        np.multiply(u, gt, out=et)
+        del gt, rel
+    entity_ids, entity_rows = _reduce_rows(entity_ids, entity_rows)
     return SparseGrad(entity_ids, entity_rows, relation_ids, relation_rows)
 
 

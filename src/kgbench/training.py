@@ -6,6 +6,10 @@ out-of-vocabulary ids stay bit-identical to their initialization. Negatives
 are drawn from train-split entities only and are *not* filtered against
 known-true triples (standard practice; the false-negative rate is tiny at
 benchmark scale, but it does shift absolute loss values).
+
+The Adam step updates the touched rows in place, in three row buffers per
+table, with the operations of the textbook expressions in their order, so
+no step allocates more than a few copies of the gradient's rows.
 """
 
 from __future__ import annotations
@@ -172,11 +176,31 @@ class _Adam:
             (self.params.entities, self.m_e, self.v_e, g.entity_ids, g.entity_rows),
             (self.params.relations, self.m_r, self.v_r, g.relation_ids, g.relation_rows),
         ):
-            m_ids = ADAM_BETA1 * m[ids] + (1.0 - ADAM_BETA1) * rows
-            v_ids = ADAM_BETA2 * v[ids] + (1.0 - ADAM_BETA2) * rows * rows
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+            # table -= lr * (m/bc1) / (sqrt(v/bc2) + eps), each operation in this
+            # order, so the bits are those of the expressions, in three row buffers.
+            m_ids = m[ids]
+            m_ids *= ADAM_BETA1
+            scratch = np.multiply(rows, 1.0 - ADAM_BETA1)
+            m_ids += scratch
             m[ids] = m_ids
+            v_ids = v[ids]
+            v_ids *= ADAM_BETA2
+            np.multiply(rows, 1.0 - ADAM_BETA2, out=scratch)
+            scratch *= rows
+            v_ids += scratch
             v[ids] = v_ids
-            table[ids] -= self.lr * (m_ids / bc1) / (np.sqrt(v_ids / bc2) + ADAM_EPS)
+            m_ids /= bc1  # from here on m_ids becomes the step
+            m_ids *= self.lr
+            v_ids /= bc2
+            np.sqrt(v_ids, out=v_ids)
+            v_ids += ADAM_EPS
+            m_ids /= v_ids
+            # ids passed m[ids] above, so "clip" clips nothing; it writes without
+            # the buffer that "raise" makes.
+            np.take(table, ids, axis=0, out=scratch, mode="clip")
+            scratch -= m_ids
+            table[ids] = scratch
 
 
 def _batch_loss(loss_kind: str, margin: float, pos: np.ndarray, neg: np.ndarray,

@@ -60,6 +60,31 @@ def score_via_params(params, kind_override=None):
     return f
 
 
+def complex_query(dim: int, slot: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ComplEx's slot query as four whole products and one ``concatenate``.
+
+    ``e_h * w_r`` for slot ``"t"``, ``conj(a) * b`` for ``"h"`` and ``"r"``,
+    with ``a`` and ``b`` broadcast as numpy does. ``models._query`` writes
+    the same products into halves of one output and must equal this bit
+    for bit.
+    """
+    are, aim, bre, bim = a[..., :dim], a[..., dim:], b[..., :dim], b[..., dim:]
+    if slot == "t":
+        return np.concatenate([are * bre - aim * bim, are * bim + aim * bre], axis=-1)
+    return np.concatenate([are * bre + aim * bim, are * bim - aim * bre], axis=-1)
+
+
+def grad_rows(g) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """A ``SparseGrad`` as ``{entity id: gradient row}`` and ``{relation id: gradient row}``."""
+    return (dict(zip(g.entity_ids.tolist(), g.entity_rows)),
+            dict(zip(g.relation_ids.tolist(), g.relation_rows)))
+
+
+def dataset_rows(dataset) -> list[tuple[int, int, int]]:
+    """Every row of train, valid and test, in that order, as an ``(h, r, t)`` int tuple."""
+    return [tuple(row) for split in SPLITS for row in dataset.split(split).tolist()]
+
+
 def sort_scan_rank(scored: list[tuple[int, float]], filtered: set[int],
                    target: int, tie: str) -> tuple[float, int]:
     """Rank by materialize -> filter -> sort desc -> scan.

@@ -28,7 +28,7 @@ from kgbench.stats import delta_summary, load_fixture_pairs, wilcoxon_signed_ran
 from kgbench.training import TrainConfig, train
 
 from conftest import benchmark_layout, make_dataset, random_kg
-from oracles import brute_force_rank, central_difference_grad
+from oracles import brute_force_rank, central_difference_grad, dataset_rows, grad_rows
 
 DATASETS = ("wn18rr", "fb15k-237", "yago3-10")
 
@@ -159,7 +159,7 @@ def test_criterion_5_rank_oracle_equivalence():
         params = init_params(kind, ds.vocab.n_entities, ds.vocab.n_relations,
                              3, seed=kg_index)
         idx = filter_index_build(ds)
-        union = set((t.h, t.r, t.t) for t in ds.all_triples())
+        union = set(dataset_rows(ds))
         ent_cands = list(range(ds.vocab.n_entities))
         rel_cands = list(range(ds.vocab.n_relations))
         for tr in ds.test:
@@ -194,8 +194,7 @@ def test_criterion_6_gradient_checks(kind):
         analytic = grad(params, h, r, t, upstream=upstream)
         numeric = central_difference_grad(score, params.copy(), h, r, t,
                                           upstream=upstream, eps=1e-4)
-        for table, rows in (("entities", analytic.entities),
-                            ("relations", analytic.relations)):
+        for table, rows in zip(("entities", "relations"), grad_rows(analytic)):
             for rid, vec in rows.items():
                 ref = numeric[table][rid]
                 err = np.max(np.abs(vec - ref) / (1.0 + np.maximum(np.abs(vec),

@@ -16,7 +16,7 @@ from kgbench import (
 )
 
 from conftest import make_dataset, random_kg
-from oracles import linear_scan_heads, linear_scan_relations, linear_scan_tails
+from oracles import dataset_rows, linear_scan_heads, linear_scan_relations, linear_scan_tails
 
 
 def test_build_vocabulary_empty():
@@ -135,7 +135,7 @@ def test_filter_index_matches_linear_scan_20_triples():
     rng = np.random.default_rng(7)
     ds = random_kg(rng, n_entities=6, n_relations=3, n_train=14, n_valid=3, n_test=3)
     idx = filter_index_build(ds)
-    union = list(ds.all_triples())
+    union = dataset_rows(ds)
     for h in range(6):
         for r in range(3):
             assert idx.tails(h, r) == linear_scan_tails(union, h, r)
@@ -173,7 +173,7 @@ def test_filter_index_query_equivalence(data):
 def test_filter_index_runs_of_many_pairs_match_linear_scans():
     rng = np.random.default_rng(4)
     ds = random_kg(rng, 9, 3, n_train=60, n_valid=5, n_test=5)
-    triples = [tuple(tr) for tr in ds.all_triples()]
+    triples = dataset_rows(ds)
     idx = FilterIndex.from_triples(triples)
     a, b = rng.integers(-2, 11, size=200), rng.integers(-2, 11, size=200)  # some out of range
     lookups = ((idx.triples, linear_scan_tails), (idx.by_ht, linear_scan_relations),
@@ -246,7 +246,7 @@ def test_splits_are_read_only_and_tuples_equal_arrays():
             b[:1] = 0
     source[0, 0] = 1  # the dataset holds its own copy
     assert from_array.train[0].tolist() == [0, 0, 1]
-    assert list(from_array.all_triples()) == rows + [Triple(2, 0, 0)]
+    assert dataset_rows(from_array) == rows + [Triple(2, 0, 0)]
     with pytest.raises(DatasetError, match="shape"):
         SplitDataset(vocab=v, train=[(0, 0)], valid=(), test=())
 

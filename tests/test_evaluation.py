@@ -39,6 +39,7 @@ from kgbench.models import (
 from conftest import make_dataset, random_kg, write_split_files
 from oracles import (
     brute_force_rank,
+    dataset_rows,
     linear_scan_heads,
     linear_scan_relations,
     linear_scan_tails,
@@ -117,7 +118,7 @@ def test_filtered_rank_matches_brute_force_oracle(kind):
         params = init_params(kind, ds.vocab.n_entities, ds.vocab.n_relations,
                              3, seed=trial)
         idx = filter_index_build(ds)
-        union = set((t.h, t.r, t.t) for t in ds.all_triples())
+        union = set(dataset_rows(ds))
         ent_cands = list(range(ds.vocab.n_entities))
         rel_cands = list(range(ds.vocab.n_relations))
         for tr in list(ds.test) + list(ds.valid):
@@ -142,7 +143,7 @@ def test_filtered_rank_oracle_property(data):
     kind = data.draw(st.sampled_from(MODEL_KINDS))
     params = init_params(kind, ds.vocab.n_entities, ds.vocab.n_relations, 2, seed=seed)
     idx = filter_index_build(ds)
-    union = set((t.h, t.r, t.t) for t in ds.all_triples())
+    union = set(dataset_rows(ds))
     tr = ds.test[data.draw(st.integers(0, len(ds.test) - 1))]
     direction = data.draw(st.sampled_from(DIRECTIONS))
     tie = data.draw(st.sampled_from(TIES))
@@ -178,7 +179,7 @@ def test_evaluate_matches_hand_computed_sum():
     rng = np.random.default_rng(12)
     ds = random_kg(rng, 6, 2, n_train=8, n_valid=1, n_test=4)
     params = init_params("complex", ds.vocab.n_entities, ds.vocab.n_relations, 3, seed=2)
-    union = set((t.h, t.r, t.t) for t in ds.all_triples())
+    union = set(dataset_rows(ds))
     ent_cands = list(range(ds.vocab.n_entities))
     total = 0.0
     hits = {1: 0, 3: 0, 10: 0}
@@ -307,7 +308,7 @@ def test_per_relation_matches_subset_arithmetic():
     rng = np.random.default_rng(10)
     ds = random_kg(rng, 7, 2, n_train=10, n_test=6)
     params = init_params("distmult", 7, 2, 4, seed=3)
-    union = set((t.h, t.r, t.t) for t in ds.all_triples())
+    union = set(dataset_rows(ds))
     ent_cands = list(range(7))
     per_rel = evaluate(params, ds, split="test").per_relation_mrr
     for rid in per_rel:
@@ -327,7 +328,7 @@ def test_relation_prediction_matches_oracle_and_denominator():
     rng = np.random.default_rng(13)
     ds = random_kg(rng, 6, 3, n_train=9, n_test=4)
     params = init_params("complex", 6, 3, 3, seed=5)
-    union = set((t.h, t.r, t.t) for t in ds.all_triples())
+    union = set(dataset_rows(ds))
     rel_cands = list(range(3))
     total = 0.0
     for tr in ds.test:
@@ -357,7 +358,7 @@ def test_reciprocal_head_ranks_use_inverse_relation():
     # params with 2|R| relation rows, as a reciprocal checkpoint would have
     params = init_params("distmult", 6, 4, 3, seed=9)
     idx = filter_index_build(ds)
-    union = set((t.h, t.r, t.t) for t in ds.all_triples())
+    union = set(dataset_rows(ds))
     ent_cands = list(range(6))
     for tr in ds.test:
         for tie in TIES:
@@ -478,7 +479,7 @@ def test_transe_ranks_with_duplicated_entity_rows_equal_the_oracle():
         params = init_params("transe", n, ds.vocab.n_relations, 8, seed=3)
         params.entities[:] = params.entities[np.arange(n) % groups]
         idx = filter_index_build(ds)
-        union = set(map(tuple, ds.all_triples()))
+        union = set(dataset_rows(ds))
         cands = list(range(n))
         for tie in TIES:
             records = rank_records(params, ds, tie=tie)
@@ -495,7 +496,7 @@ def _assert_ranks_equal_sorted_exact_rows(params, ds, split, reciprocal):
     """``rank_records`` and ``filtered_rank_pair`` equal the sorting oracle over
     ``score_all_*`` rows, filtered by linear scans, under every tie policy."""
     idx = filter_index_build(ds)
-    union = list(ds.all_triples())
+    union = dataset_rows(ds)
     n_rel = ds.vocab.n_relations
     entities, relations = np.arange(ds.vocab.n_entities), np.arange(n_rel)
     for tie in TIES:

@@ -3,6 +3,7 @@ import pytest
 
 from kgbench.models import (
     MODEL_KINDS,
+    _query,
     CheckpointError,
     ModelParams,
     grad,
@@ -18,7 +19,7 @@ from kgbench.models import (
     transe_screen_table,
 )
 
-from oracles import central_difference_grad, score_via_params
+from oracles import central_difference_grad, complex_query, grad_rows, score_via_params
 
 
 def test_transe_translation_identity_scores_zero():
@@ -137,12 +138,23 @@ def test_transe_screen_sends_rows_that_may_overflow_to_the_band():
     assert target_scores.tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("slot", ["h", "r", "t"])
+def test_complex_query_equals_the_concatenated_products(slot):
+    rng = np.random.default_rng(31)
+    dim = 5
+    a, b = rng.normal(size=(2, 9, 2 * dim))
+    a[0, :3], b[1, 2:4] = 0.0, -0.0  # signed zeros must come out alike too
+    for x, y in ((a, b), (a[3], b), (a, b[4]), (a[5], b[6])):  # one row broadcast against many
+        got = _query("complex", dim, slot, x, y)
+        want = complex_query(dim, slot, x, y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _per_triple_terms(p, h, r, t, upstream):
     """{id: [gradient row of each triple touching it]} from one grad call per triple."""
     entities, relations = {}, {}
     for a, b, c, u in zip(h.tolist(), r.tolist(), t.tolist(), upstream.tolist()):
-        g = grad(p, a, b, c, upstream=u)
-        for terms, rows in ((entities, g.entities), (relations, g.relations)):
+        for terms, rows in zip((entities, relations), grad_rows(grad(p, a, b, c, upstream=u))):
             for rid, vec in rows.items():
                 terms.setdefault(rid, []).append(vec)
     return entities, relations
@@ -172,8 +184,6 @@ def test_batched_grad_equals_sum_of_per_triple_grads(kind):
             stacked = np.array(terms[rid])
             assert np.all(np.abs(row - stacked.sum(axis=0))
                           <= 1e-12 * np.abs(stacked).sum(axis=0))
-    assert g.entities.keys() == set(g.entity_ids.tolist())
-    assert g.relations.keys() == set(g.relation_ids.tolist())
 
 
 def test_grad_of_no_triples_is_empty():
@@ -217,27 +227,26 @@ def test_distmult_is_symmetric_complex_can_be_antisymmetric():
 
 def test_grad_distmult_hand_example():
     p = ModelParams("distmult", 1, np.array([[2.0], [5.0]]), np.array([[3.0]]))
-    g = grad(p, 0, 0, 1)
-    assert g.entities[0] == pytest.approx([15.0])  # w * e_t
-    assert g.entities[1] == pytest.approx([6.0])   # e_h * w
-    assert g.relations[0] == pytest.approx([10.0])  # e_h * e_t
+    entities, relations = grad_rows(grad(p, 0, 0, 1))
+    assert entities[0] == pytest.approx([15.0])  # w * e_t
+    assert entities[1] == pytest.approx([6.0])   # e_h * w
+    assert relations[0] == pytest.approx([10.0])  # e_h * e_t
 
 
 def test_grad_zero_upstream_is_zero():
     p = init_params("rescal", 4, 2, 3, seed=2)
     g = grad(p, 0, 1, 2, upstream=0.0)
-    assert all(np.all(v == 0) for v in g.entities.values())
-    assert all(np.all(v == 0) for v in g.relations.values())
+    assert not g.entity_rows.any() and not g.relation_rows.any()
 
 
 def test_transe_grad_at_singular_point_is_zero():
     entities = np.array([[0.0, 0.0], [1.0, 1.0]])
     relations = np.array([[1.0, 1.0]])
     p = ModelParams("transe", 2, entities, relations)
-    g = grad(p, 0, 0, 1)  # e_h + w - e_t = 0 exactly
-    assert np.all(g.entities[0] == 0.0)
-    assert np.all(g.relations[0] == 0.0)
-    assert not np.isnan(g.entities[1]).any()
+    entities, relations = grad_rows(grad(p, 0, 0, 1))  # e_h + w - e_t = 0 exactly
+    assert np.all(entities[0] == 0.0)
+    assert np.all(relations[0] == 0.0)
+    assert not np.isnan(entities[1]).any()
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -251,19 +260,20 @@ def test_grad_matches_finite_differences(kind):
         upstream = float(rng.normal())
         analytic = grad(p, h, r, t, upstream=upstream)
         numeric = central_difference_grad(score, p.copy(), h, r, t, upstream=upstream)
-        for rid, vec in analytic.relations.items():
+        entities, relations = grad_rows(analytic)
+        for rid, vec in relations.items():
             assert np.allclose(vec, numeric["relations"][rid], rtol=1e-4, atol=1e-7)
-        for eid, vec in analytic.entities.items():
+        for eid, vec in entities.items():
             assert np.allclose(vec, numeric["entities"][eid], rtol=1e-4, atol=1e-7)
 
 
 def test_grad_combines_head_and_tail_for_reflexive_triples():
     p = init_params("distmult", 3, 1, 4, seed=8)
-    g = grad(p, 1, 0, 1)
+    entities, _ = grad_rows(grad(p, 1, 0, 1))
     expected = p.relations[0] * p.entities[1] + p.entities[1] * p.relations[0]
-    assert np.allclose(g.entities[1], expected)
+    assert np.allclose(entities[1], expected)
     numeric = central_difference_grad(score, p.copy(), 1, 0, 1)
-    assert np.allclose(g.entities[1], numeric["entities"][1], rtol=1e-4, atol=1e-8)
+    assert np.allclose(entities[1], numeric["entities"][1], rtol=1e-4, atol=1e-8)
 
 
 def test_init_params_deterministic_per_seed():

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kgbench import Triple, augment_reciprocal, build_vocabulary, sample_negatives
-from kgbench.models import grad, init_params
+from kgbench.models import MODEL_KINDS, grad, init_params
 from kgbench.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -17,6 +19,7 @@ from kgbench.training import (
 )
 
 from conftest import make_dataset, random_kg
+from oracles import grad_rows
 
 
 def test_augment_reciprocal_single_triple():
@@ -93,8 +96,7 @@ def test_sample_negatives_uniform_frequency():
 
 def _per_row_step(params, moments, t, g, lr):
     """The optimizers as one Python update per gradient row (``moments`` None: SGD)."""
-    for name, table, rows in (("e", params.entities, g.entities),
-                              ("r", params.relations, g.relations)):
+    for name, table, rows in zip("er", (params.entities, params.relations), grad_rows(g)):
         for rid, vec in rows.items():
             if moments is None:
                 table[rid] -= lr * vec
@@ -124,6 +126,34 @@ def test_optimizer_step_equals_per_row_loop(kind, optimizer):
         _per_row_step(reference, moments, step, g, 0.05)
         assert np.array_equal(params.entities, reference.entities)
         assert np.array_equal(params.relations, reference.relations)
+
+
+def _traced_peak(call):
+    """The peak bytes that ``call()`` allocates, as numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_training_step_transient_memory_is_bounded(kind):
+    # One batch of 512 positives and 512 negatives on a KG of FB15K-237's
+    # relation count: grad holds a few (m, w) row arrays at a time and the
+    # Adam step a few arrays of the gradient's rows, never one per operation.
+    rng = np.random.default_rng(12)
+    m, n_entities, n_relations = 1024, 2000, 237
+    h, r, t = (rng.integers(n, size=m) for n in (n_entities, n_relations, n_entities))
+    upstream = rng.normal(size=m)
+    params = init_params(kind, n_entities, n_relations, 16, seed=12)
+    adam = _Adam(params, 0.05)
+    g, grad_peak = _traced_peak(lambda: grad(params, h, r, t, upstream))
+    _, step_peak = _traced_peak(lambda: adam.step(g))
+    row_array = m * params.entities.shape[1] * 8
+    assert grad_peak <= 8 * row_array + g.relation_rows.nbytes
+    assert step_peak <= 4 * (g.entity_rows.nbytes + g.relation_rows.nbytes)
 
 
 def test_margin_batch_loss_keeps_only_pairs_inside_the_margin():
