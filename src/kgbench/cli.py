@@ -1,4 +1,4 @@
-"""Command-line interface: audit | correct | train | eval | compare | stats.
+"""Command-line interface: audit | correct | train | eval | compare.
 
 Exit codes are stable so the tool can gate CI pipelines:
 
@@ -35,7 +35,6 @@ from .stats import (
     delta_summary,
     load_fixture_pairs,
     pairs_from_reports,
-    wilcoxon_signed_rank,
 )
 from .training import TrainConfig, TrainingError, train, write_loss_csv
 from .version import __version__
@@ -179,15 +178,6 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args) -> int:
-    samples = load_fixture_pairs(args.pairs)
-    result = wilcoxon_signed_rank(samples, zero_policy=args.zero_policy)
-    _print_test(result, samples)
-    if args.json:
-        reporting.dump_json(result.to_json_dict(), Path(args.json))
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kgbench",
                      description="Link-prediction benchmark sanitization and evaluation.")
@@ -236,10 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write the metrics report here")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare", help="Wilcoxon test over two report sets or shipped fixtures")
+    p = sub.add_parser("compare", help="Wilcoxon test over two report sets or paired values")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--fixtures", choices=("wn18rr", "fb15k-237", "yago3-10"),
-                       help="use the shipped published-results fixture")
+    group.add_argument("--fixtures",
+                       help="a shipped published-results fixture (wn18rr, fb15k-237, "
+                            "yago3-10) or a CSV with columns "
+                            "dataset,model,metric,original,corrected")
     group.add_argument("--a", help="report-set JSON {model: metrics report}")
     p.add_argument("--b", help="second report-set JSON (with --a, and only with it)")
     p.add_argument("--zero-policy", choices=("discard", "pratt"), default="discard",
@@ -247,13 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write the comparison result here")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("stats", help="Wilcoxon test over a CSV of paired values")
-    p.add_argument("--pairs", required=True,
-                   help="CSV with columns dataset,model,metric,original,corrected")
-    p.add_argument("--zero-policy", choices=("discard", "pratt"), default="discard",
-                   dest="zero_policy")
-    p.add_argument("--json", help="write the test result here")
-    p.set_defaults(func=cmd_stats)
     return parser
 
 

@@ -19,24 +19,19 @@ Tie handling is configurable (optimistic / pessimistic / mean); under the
 default mean policy MRR uses the mean rank (half-integers allowed) while
 Hits@N counts ties at the boundary as misses.
 
-Ranking works a block of queries at a time (1-N scoring with filtered
-columns): one ``score_all_*`` call scores every candidate of every query
-in the block; the known-true candidates of all the block's queries come
+Ranking works a block of queries at a time, the same way for every model
+kind: one ``screen`` call approximates every candidate score of the block
+with one matrix product and gives each query a band around its target's
+screened value, wide enough to cover every rounding (the proof is in
+``models``). The known-true candidates of all the block's queries come
 from the ``FilterIndex`` key arrays in one vectorised lookup and are set to
 ``-inf``, as are the columns that are not candidates, except each query's
-own target; each row then counts the scores above and level with its
-target's, read from the same row. ``BLOCK_FLOATS`` bounds a block's size.
-``filtered_rank_pair`` ranks one query as a block of one.
-
-TransE blocks are screened instead of scored: one ``transe_screen`` call
-approximates every squared distance with one matrix product and gives each
-query a band around its target's exact squared distance, wide enough to
-cover every rounding (the proof is in ``models``). Filtered and
-non-candidate columns are set to ``+inf``. A row counts the screened values
-below its band as scores above the target; the band itself (non-finite
-screened values included) is re-scored with ``transe_pair_scores``, the
-exact formula of ``score_all_*``, in the rows where it holds more than the
-target. So ranks are those of the exact scores.
+own target. A row counts the screened values above its band as scores
+above the target; the band itself (non-finite screened values included)
+is re-scored with ``pair_scores``, each kind's exact formula, in the rows
+where it holds more than the target. So ranks are those of the exact
+scores. ``BLOCK_FLOATS`` bounds a block's size. ``filtered_rank_pair``
+ranks one query as a block of one.
 """
 
 from __future__ import annotations
@@ -47,16 +42,9 @@ import numpy as np
 
 from .audit import detect_oov
 from .core import FilterIndex, SplitDataset, Triple, filter_index_build, split_vocab
-from .models import (
-    ModelParams,
-    TranseScreenTable,
-    score_all_heads,
-    score_all_relations,
-    score_all_tails,
-    transe_pair_scores,
-    transe_screen,
-    transe_screen_table,
-)
+from .models import ModelParams, ScreenTable, id_arrays, pair_scores, screen, screen_table
+# Not called here: perfbench's tracer times these names in this module.
+from .models import score_all_heads, score_all_relations, score_all_tails  # noqa: F401
 
 OOV_POLICIES = ("include", "exclude")
 TIE_POLICIES = ("mean", "optimistic", "pessimistic")
@@ -141,39 +129,32 @@ def _tie_ranks(optimistic: np.ndarray, level: np.ndarray,
     return (optimistic + pessimistic) / 2.0, pessimistic
 
 
-def _ranks(scores: np.ndarray, targets: np.ndarray, tie: str) -> tuple[np.ndarray, np.ndarray]:
+def _ranks(params: ModelParams, slot: str, screened: np.ndarray, queries: np.ndarray,
+           lo: np.ndarray, hi: np.ndarray, targets: np.ndarray,
+           tie: str) -> tuple[np.ndarray, np.ndarray]:
     """(rank for MRR, integer rank for Hits@N) of each row's target column.
 
-    Filtered and non-candidate columns hold ``-inf``, so they are neither
-    above nor level with a finite target score.
+    ``screened``, ``queries``, ``lo`` and ``hi`` are ``screen``'s. Filtered
+    and non-candidate columns hold ``-inf``, below every ``lo``. Screened
+    values above ``hi`` count as above the target, and the band between
+    ``lo`` and ``hi`` (``NaN`` included) is re-scored exactly in the rows
+    where it holds more than the target or where the target's screened
+    value is not finite. Elsewhere the screen bounds the exact target
+    score, so it is finite.
     """
-    target_scores = scores[np.arange(len(targets)), targets]
-    _check_finite(target_scores)
-    level = target_scores[:, None]
-    return _tie_ranks(1 + np.count_nonzero(scores > level, axis=1),
-                      np.count_nonzero(scores == level, axis=1), tie)
-
-
-def _screened_ranks(params: ModelParams, slot: str, a: np.ndarray, b: np.ndarray,
-                    screened: np.ndarray, target_scores: np.ndarray, lo: np.ndarray,
-                    hi: np.ndarray, tie: str) -> tuple[np.ndarray, np.ndarray]:
-    """``_ranks`` for TransE, from ``transe_screen``'s screened distances.
-
-    Filtered and non-candidate columns hold ``+inf``, above every ``hi``.
-    Screened values below ``lo`` count as above the target, and the band
-    between ``lo`` and ``hi`` (``NaN`` included) is re-scored exactly in the
-    rows where it holds more than the target.
-    """
-    _check_finite(target_scores)
-    above = np.count_nonzero(screened < lo[:, None], axis=1)
-    band = screened.shape[1] - above - np.count_nonzero(screened > hi[:, None], axis=1)
+    above = np.count_nonzero(screened > hi[:, None], axis=1)
+    band = screened.shape[1] - above - np.count_nonzero(screened < lo[:, None], axis=1)
     level = np.ones_like(above)  # the target, alone in its band
-    rows = np.flatnonzero(band > 1)
+    centre = screened[np.arange(len(targets)), targets]
+    rows = np.flatnonzero((band > 1) | ~np.isfinite(centre))
     if rows.size:
         part = screened[rows]
         i, x = np.nonzero(~((part < lo[rows, None]) | (part > hi[rows, None])))
-        scores = transe_pair_scores(params, slot, a[rows][i], b[rows][i], x)
-        target = target_scores[rows][i]
+        row_queries = queries[rows]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target is refused
+            target = pair_scores(params, slot, row_queries, targets[rows])
+            _check_finite(target)
+            scores, target = pair_scores(params, slot, row_queries[i], x), target[i]
         above[rows] += np.bincount(i[scores > target], minlength=rows.size)
         level[rows] = np.bincount(i[scores == target], minlength=rows.size)
     return _tie_ranks(1 + above, level, tie)
@@ -197,19 +178,13 @@ def _dropped_columns(n_columns: int, candidates: np.ndarray | None) -> np.ndarra
     return dropped
 
 
-def _screen(params: ModelParams, table: np.ndarray) -> TranseScreenTable | None:
-    """The TransE screen table of ``table``; the dot-product models score without one."""
-    return transe_screen_table(table) if params.kind == "transe" else None
-
-
-def _rank_block(params: ModelParams, index: FilterIndex, triples: np.ndarray,
-                direction: str, tie: str, dropped: np.ndarray, reciprocal: bool,
-                screen: TranseScreenTable | None) -> tuple[np.ndarray, np.ndarray]:
+def _rank_block(params: ModelParams, table: ScreenTable, index: FilterIndex,
+                triples: np.ndarray, direction: str, tie: str, dropped: np.ndarray,
+                reciprocal: bool) -> tuple[np.ndarray, np.ndarray]:
     """Filtered (MRR ranks, Hits ranks) of one slot of each row of ``triples``.
 
-    One ``score_all_*`` call scores the whole block, or for TransE one
-    ``transe_screen`` call screens it against ``screen``. Each row's
-    known-true candidates other than its target, and the ``dropped``
+    One ``screen`` call screens the whole block against ``table``. Each
+    row's known-true candidates other than its target, and the ``dropped``
     columns, are taken out before the ranks are counted.
     """
     h, r, t = triples.T
@@ -224,11 +199,7 @@ def _rank_block(params: ModelParams, index: FilterIndex, triples: np.ndarray,
         keys, fixed, targets = index.by_ht, (h, t), r
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    if screen is None:
-        score_all = {"t": score_all_tails, "h": score_all_heads, "r": score_all_relations}[slot]
-        scores = score_all(params, a, b)
-    else:
-        scores, target_scores, lo, hi = transe_screen(params, screen, slot, a, b, targets)
+    screened, queries, lo, hi = screen(params, table, slot, a, b, targets)
     query, known = index.runs(keys, *fixed)
     is_target = known == targets[query]
     found = np.zeros(len(triples), dtype=bool)
@@ -241,12 +212,9 @@ def _rank_block(params: ModelParams, index: FilterIndex, triples: np.ndarray,
     outside = dropped[targets]
     if outside.any():
         raise EvaluationError(f"target id {targets[outside][0]} is not in the candidate set")
-    out = -np.inf if screen is None else np.inf  # screened values are distances
-    scores[query[~is_target], known[~is_target]] = out
-    scores[:, dropped] = out
-    if screen is None:
-        return _ranks(scores, targets, tie)
-    return _screened_ranks(params, slot, a, b, scores, target_scores, lo, hi, tie)
+    screened[query[~is_target], known[~is_target]] = -np.inf
+    screened[:, dropped] = -np.inf
+    return _ranks(params, slot, screened, queries, lo, hi, targets, tie)
 
 
 def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, t: int,
@@ -259,13 +227,16 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
     removed (the query triple itself survives). ``candidates`` optionally
     restricts the candidate ids (used by the exclude policy and by
     reciprocal checkpoints whose parameter tables exceed the vocabulary).
-    This is the block ranker of ``evaluate`` applied to one query.
+    This is the block ranker of ``evaluate`` applied to one query. Ids
+    outside the parameter tables raise ``IndexError``.
     """
     _check_tie(tie)
-    table = params.relations if direction == "relation" else params.entities
-    rank, hits_rank = _rank_block(params, index, np.array([[h, r, t]], dtype=np.int64),
-                                  direction, tie, _dropped_columns(len(table), candidates),
-                                  reciprocal, _screen(params, table))
+    triple = np.array([[h, r, t]], dtype=np.int64)
+    id_arrays(params, h=triple[:, 0], r=triple[:, 1], t=triple[:, 2])
+    slot = "r" if direction == "relation" else "t"
+    table = screen_table(params, slot)
+    rank, hits_rank = _rank_block(params, table, index, triple, direction, tie,
+                                  _dropped_columns(len(table.rows), candidates), reciprocal)
     return float(rank[0]), int(hits_rank[0])
 
 
@@ -318,19 +289,21 @@ def _rank_split(params: ModelParams, setup: _EvalSetup, directions: tuple[str, .
     shape = (len(setup.triples), len(directions))
     ranks = np.empty(shape)
     hits_ranks = np.empty(shape, dtype=np.int64)
+    tables = {}  # by the slot whose table it is: heads and tails share the entities'
     for j, direction in enumerate(directions):
         if direction == "relation":
-            table, candidates = params.relations, setup.relation_candidates
+            slot, rows, candidates = "r", params.relations, setup.relation_candidates
         else:
-            table, candidates = params.entities, setup.entity_candidates
-        dropped = _dropped_columns(len(table), candidates)
-        screen = _screen(params, table)
-        step = max(1, BLOCK_FLOATS // (len(table) + table[0].size))
+            slot, rows, candidates = "t", params.entities, setup.entity_candidates
+        if slot not in tables:
+            tables[slot] = screen_table(params, slot)
+        dropped = _dropped_columns(len(rows), candidates)
+        step = max(1, BLOCK_FLOATS // (len(rows) + rows[0].size))
         for lo in range(0, shape[0], step):
             block = slice(lo, lo + step)
             ranks[block, j], hits_ranks[block, j] = _rank_block(
-                params, setup.index, setup.triples[block], direction, tie, dropped, reciprocal,
-                screen)
+                params, tables[slot], setup.index, setup.triples[block], direction, tie,
+                dropped, reciprocal)
     return ranks, hits_ranks
 
 

@@ -20,20 +20,22 @@ triples. A training batch runs in a few row arrays of its size: ComplEx's
 query fills the halves of one output, RESCAL's entity queries are one
 bare matrix product per relation, written in place, and ``grad``
 overwrites the gathered head and tail rows with their gradients once no
-query needs them. None of this reorders a floating-point operation. ``score_all_tails``, ``score_all_heads`` and
-``score_all_relations`` take the two fixed slots as ints, for one row of
-candidate scores, or as equal-length id arrays, for an ``(m, N)`` block
-with one row per query: the block of queries times the candidate table
-(``Q @ table.T``), or for TransE the negated distances, summed one
-coordinate at a time so that equal candidate rows score exactly equal.
+query needs them. None of this reorders a floating-point operation.
 
-TransE is ranked through a screen: ``transe_screen`` approximates every
-squared distance of a block with one matrix product,
-``[q, |q|^2, 1] @ [-2e, 1, |e|^2].T`` (the table built once by
-``transe_screen_table``), and returns a per-query band, proven in a
-comment there, outside which the screen orders a candidate against the
-target exactly as the exact scores do. ``transe_pair_scores`` re-scores
-the band with the exact formula that ``score_all_*`` uses.
+Candidates are scored with each kind's one exact formula, one term per
+coordinate added in coordinate order (``_exact_scores``), so equal
+candidate rows score exactly equal. ``score_all_tails``,
+``score_all_heads`` and ``score_all_relations`` take the two fixed slots
+as ints, for one row of candidate scores, or as equal-length id arrays,
+for an ``(m, N)`` block with one row per query. ``pair_scores`` scores
+one candidate per query row with the same formula, bit for bit.
+
+Ranking goes through a screen, the same for every kind: ``screen``
+approximates every score of a block with one matrix product against the
+table that ``screen_table`` builds once, and returns a band around each
+target's screened value, proven in a comment there, outside which the
+screen orders a candidate against the target exactly as the exact scores
+do. The ranker re-scores only the band with ``pair_scores``.
 
 Scores are uniformly "higher is better" (TransE returns the negated
 distance), which keeps the ranking engine model-agnostic. Parameter rows
@@ -135,7 +137,7 @@ def init_params(kind: str, n_entities: int, n_relations: int, dim: int,
     return ModelParams(kind, dim, entities, relations)
 
 
-def _id_arrays(params: ModelParams, **ids) -> list[np.ndarray]:
+def id_arrays(params: ModelParams, **ids) -> list[np.ndarray]:
     """The ids given by slot name (h, r or t) as equal-length 1-d arrays, range-checked."""
     arrays = [np.atleast_1d(np.asarray(x)) for x in ids.values()]
     if arrays[0].ndim != 1 or any(x.shape != arrays[0].shape for x in arrays):
@@ -244,140 +246,170 @@ def score(params: ModelParams, h, r, t) -> float | np.ndarray:
     arrays, a float64 array holding the score of each ``(h[i], r[i], t[i])``.
     """
     scalar = np.ndim(h) == np.ndim(r) == np.ndim(t) == 0
-    h, r, t = _id_arrays(params, h=h, r=r, t=t)
+    h, r, t = id_arrays(params, h=h, r=r, t=t)
     q, et = _queries(params, "t", h, r), params.entities[t]
     out = -np.linalg.norm(q - et, axis=1) if params.kind == "transe" else _rowdot(q, et)
     return float(out[0]) if scalar else out
 
 
-def _negated_distances(q_columns: np.ndarray, e_columns: np.ndarray) -> np.ndarray:
-    """``-||q - e||`` from the coordinates of query and candidate rows, broadcast together.
+def _exact_scores(kind: str, dim: int, q_columns: np.ndarray, e_columns: np.ndarray) -> np.ndarray:
+    """Scores of query rows against candidate rows, from their coordinates, broadcast together.
 
     ``q_columns[k]`` and ``e_columns[k]`` hold coordinate ``k`` of the query
     rows and of the candidate rows: ``(m, 1)`` against ``(N,)`` gives every
-    pair's distance as an ``(m, N)`` plane, ``(n,)`` against ``(n,)`` the
-    distances of ``n`` pairs. This is TransE's one exact formula: subtract,
-    square, add in coordinate order, ``sqrt``, negate. So a pair's distance
-    does not depend on what it is computed with, and equal candidate rows
-    get equal distances. (Expanding ``|q|^2 + |e|^2 - 2q.e`` rounds
-    differently; ``transe_screen`` uses it only as a screen.)
+    pair's score as an ``(m, N)`` plane, ``(n,)`` against ``(n,)`` the
+    scores of ``n`` pairs. This is each kind's one exact formula: one term
+    per coordinate, added in coordinate order. TransE's term is the squared
+    difference, and the sum's ``sqrt`` is negated. ComplEx's term is
+    ``q_re,k * e_re,k + q_im,k * e_im,k``, and the other kinds' ``q_k * e_k``
+    (RESCAL's relation query has ``d*d`` coordinates). So a pair's score
+    does not depend on what it is computed with, equal candidate rows score
+    exactly equal, and tail scores of TransE, DistMult and ComplEx are those
+    of the scalar formula summed in coordinate order.
     """
     shape = np.broadcast_shapes(q_columns.shape[1:], e_columns.shape[1:])
-    total = np.empty(shape)
-    diff = np.empty_like(total)
-    for k in range(len(q_columns)):
-        plane = diff if k else total
-        np.copyto(plane, q_columns[k])  # then subtract in place: faster than q - e in one call
-        plane -= e_columns[k]
-        plane *= plane
+    total, term = np.empty(shape), np.empty(shape)
+    imaginary = np.empty(shape) if kind == "complex" else None
+    for k in range(dim if kind == "complex" else len(q_columns)):
+        plane = term if k else total
+        if kind == "transe":
+            np.copyto(plane, q_columns[k])  # then subtract in place: faster than q - e in one call
+            plane -= e_columns[k]
+            plane *= plane
+        else:
+            np.multiply(q_columns[k], e_columns[k], out=plane)
+            if kind == "complex":
+                plane += np.multiply(q_columns[dim + k], e_columns[dim + k], out=imaginary)
         if k:
-            total += diff
-    np.sqrt(total, out=total)
-    return np.negative(total, out=total)
+            total += term
+    if kind == "transe":
+        np.sqrt(total, out=total)
+        np.negative(total, out=total)
+    return total
+
+
+def _flat(rows: np.ndarray) -> np.ndarray:
+    """One row per leading index: RESCAL's ``(n, d, d)`` relation rows become ``(n, d*d)``."""
+    return rows.reshape(len(rows), math.prod(rows.shape[1:]))
 
 
 def _candidate_table(params: ModelParams, slot: str) -> np.ndarray:
-    return params.relations if slot == "r" else params.entities
+    return _flat(params.relations if slot == "r" else params.entities)
 
 
-def transe_pair_scores(params: ModelParams, slot: str, a, b, x) -> np.ndarray:
-    """TransE scores of candidate ``x[i]`` in ``slot`` for the slot query of ``(a[i], b[i])``.
+def pair_scores(params: ModelParams, slot: str, queries: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Exact scores of candidate ``x[i]`` in ``slot`` against query row ``queries[i]``.
 
-    ``a`` and ``b`` are the other two slots' ids in ``(h, r, t)`` order, as
-    in ``score_all_*``; each score equals that of ``score_all_*`` bit for bit.
+    ``queries`` are slot queries as ``screen`` returns them, one flat row
+    per pair, and ``x`` in-range candidate ids. Each score equals that of
+    ``score_all_*`` for the same query row bit for bit.
     """
-    others = [s for s in "hrt" if s != slot]
-    a, b, x = _id_arrays(params, **dict(zip(others, (a, b))), **{slot: x})
-    q = _queries(params, slot, a, b)
-    return _negated_distances(q.T, _candidate_table(params, slot)[x].T)
+    return _exact_scores(params.kind, params.dim, queries.T,
+                         _candidate_table(params, slot)[x].T)
 
 
-#: Constants of ``transe_screen``'s bound: 32 units of roundoff, the
-#: largest float64 and the smallest normal one.
-_SCREEN_ULPS = 2.0 ** -48
+#: Constants of ``screen``'s bound: 64 units of roundoff, the largest
+#: float64 and the smallest normal one.
+_SCREEN_ULPS = 2.0 ** -47
 _MAX_FLOAT = np.finfo(np.float64).max
 _TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True, eq=False)
-class TranseScreenTable:
-    """A TransE candidate table set up for ``transe_screen``.
+class ScreenTable:
+    """A candidate table set up for ``screen``.
 
-    ``augmented`` holds one row ``[-2e, 1, |e|^2]`` per candidate row ``e``,
-    and ``max_square_norm`` the largest ``|e|^2``.
+    ``rows`` meets the block's queries in one matrix product: the table
+    itself (RESCAL's relations flattened to ``d*d`` columns), or for TransE
+    one row ``[2e, -1, -|e|^2]`` per candidate row ``e``.
+    ``max_square_norm`` is the largest ``|e|^2``.
     """
 
-    augmented: np.ndarray
+    rows: np.ndarray
     max_square_norm: float
 
 
-def transe_screen_table(table: np.ndarray) -> TranseScreenTable:
-    """The screen table of TransE's entity or relation table."""
+def screen_table(params: ModelParams, slot: str) -> ScreenTable:
+    """The screen table of ``slot``'s candidates; heads and tails share the entities'."""
+    table = _candidate_table(params, slot)
     with np.errstate(over="ignore"):  # an overflowing norm makes every row recounted
         square_norms = np.einsum("ij,ij->i", table, table)
-    augmented = np.concatenate([-2.0 * table, np.ones((len(table), 1)), square_norms[:, None]],
-                               axis=1)
-    return TranseScreenTable(augmented, float(square_norms.max(initial=0.0)))
+    if params.kind == "transe":
+        table = np.concatenate([2.0 * table, np.full((len(table), 1), -1.0),
+                                -square_norms[:, None]], axis=1)
+    return ScreenTable(table, float(square_norms.max(initial=0.0)))
 
 
-def transe_screen(params: ModelParams, screen: TranseScreenTable, slot: str, a, b,
-                  targets) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Screened squared distances of a block of TransE queries, and the band that needs a recount.
+def screen(params: ModelParams, table: ScreenTable, slot: str, a: np.ndarray, b: np.ndarray,
+           targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Screened scores of a block of queries, and the band around each target that needs a recount.
 
-    ``a`` and ``b`` are the other two slots' ids in ``(h, r, t)`` order, as
-    in ``score_all_*``, ``targets`` one candidate id per query and
-    ``screen`` the slot's ``transe_screen_table``. Returns
-    ``(screened, target_scores, lo, hi)``: ``screened`` is ``(m, N)``, one
-    matrix product ``[q, |q|^2, 1] @ [-2e, 1, |e|^2].T`` that approximates
-    every squared distance ``|q - e|^2``; ``target_scores`` are the exact
-    scores of the targets, as ``score_all_*`` gives them. A candidate whose
-    screened value is below ``lo[i]`` scores strictly above query ``i``'s
-    target, one above ``hi[i]`` strictly below it. The rest, the band, can
-    score either way or level, and must be scored exactly
-    (``transe_pair_scores``). ``NaN`` is in the band. ``hi`` is finite, so a
-    column set to ``+inf`` is out of the band.
+    ``a`` and ``b`` are the other two slots' in-range ids in ``(h, r, t)``
+    order, as in ``score_all_*``, ``targets`` one candidate id per query and
+    ``table`` the slot's ``screen_table``. Returns ``(screened, queries, lo,
+    hi)``. ``screened`` is ``(m, N)``, one matrix product that approximates
+    every score, higher is better: ``queries @ table.T``, or for TransE
+    ``[q, |q|^2, 1] @ [2e, -1, -|e|^2].T = -|q - e|^2``. ``queries`` are
+    the block's slot queries, one flat row each, for ``pair_scores``. A
+    candidate screened above ``hi[i]`` scores strictly above query ``i``'s
+    target, one below ``lo[i]`` strictly below it; the band between,
+    centred on the target's screened value, must be scored exactly. Where a
+    product may overflow, the whole block is ``NaN`` and its band is every
+    finite value. ``lo`` is finite, so a ``-inf`` column is out of the band.
     """
-    others = [s for s in "hrt" if s != slot]
-    a, b, targets = _id_arrays(params, **dict(zip(others, (a, b))), **{slot: targets})
-    q = _queries(params, slot, a, b)
-    target_scores = _negated_distances(q.T, _candidate_table(params, slot)[targets].T)
-    # Why lo and hi hold. Let u = 2**-53, n = d + 2, g(n) = n*u / (1 - n*u),
-    # and, for query q and candidate e, Pi = |q|^2 + |e|^2 in exact arithmetic.
-    # P = fl(|q|^2) + max fl(|e|^2) is at least (1 - g(d)) * Pi.
-    # 1. Expansion rounding. screened[i, e] is a dot product of length n of
-    #    [q, fl(|q|^2), 1] and [-2e, 1, fl(|e|^2)]. Summed in any order, with
-    #    or without fused multiply-adds, it is within g(n) times the sum of its
-    #    terms' magnitudes of its exact value. That sum is 2*sum|q_k*e_k| +
-    #    fl(|q|^2) + fl(|e|^2) <= (2 + g(d)) * Pi, and each norm is within
-    #    g(d) of exact, so screened is within 3.01 * g(n) * Pi of |q - e|^2.
-    # 2. Rounding of the exact sum. D, the coordinate-order sum of
-    #    fl(fl(q_k - e_k)^2), puts at most d + 1 roundings on each term, so it
-    #    is within g(n) * |q - e|^2 <= 2 * g(n) * Pi of |q - e|^2. With 1.,
-    #    |screened - D| <= 5.01 * g(n) * Pi <= 5.1 * n*u * P while n*u < 2**-20.
-    # 3. Rounding of the sqrt. A candidate scores -fl(sqrt(D)) and the target
-    #    s = -fl(sqrt(D_t)). Let Q = fl(s*s) = s*s * (1 + r), |r| <= u. If
-    #    D < Q * (1 - 3u), then fl(sqrt(D)) <= sqrt(D) * (1 + u) < -s: the
-    #    candidate scores strictly above. If D > Q * (1 + 5u), then
-    #    fl(sqrt(D)) >= sqrt(D) * (1 - u) > -s: strictly below. In between,
-    #    sqrt can round distinct D to one score.
-    # So screened < Q - (5.1*n*u*P + 5u*Q) means above and screened >
-    # Q + (5.1*n*u*P + 5u*Q) means below. B = 2**-48 * (n*P + Q) = 32u * (n*P + Q)
-    # is more than twice that margin, which covers the roundings of B, Q - B
-    # and Q + B themselves. Where a value is subnormal, a rounding errs by up to
-    # 2**-1075 instead; far fewer than 2**40 roundings feed one value, so the
-    # smallest normal float, 2**-1022, added to B covers them. Every partial
-    # sum in 1. is at most 2.01 * P in magnitude, so nothing overflows where
-    # 4P is finite. Elsewhere the row's screened values are set to NaN, which
-    # puts the whole row in the band.
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows are handled below
+    q = _flat(_queries(params, slot, a, b))
+    n = q.shape[1] + 2
+    # Why lo and hi hold. Let u = 2**-53, g(n) = n*u / (1 - n*u), S a screened
+    # value, X the exact score of pair_scores, and S_t, X_t the target's. If
+    # |S - X| + |S_t - X_t| < B, S > S_t + B means X > X_t and S < S_t - B
+    # means X < X_t; B must also cover the roundings of B and of S_t -/+ B.
+    # Dot-product kinds: S and X are two sums of the same w = n - 2 products
+    # q_k * e_k (ComplEx's exact sum pairs them first), in different orders.
+    # Summed in any order, with or without fused multiply-adds, each is
+    # within g(w) * sum |q_k * e_k| <= g(w) * |q| * |e| of the exact dot
+    # product (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    # ed., 3.1). With M = max_i |q_i| * max |e|, the margin is 4 * g(w) * M,
+    # and B = 2**-47 * n * M = 64u * n * M is more than ten times that.
+    # TransE: let P = max_i fl(|q_i|^2) + max fl(|e|^2), and D the
+    # coordinate-order sum of fl(fl(q_k - e_k)^2), so X = -fl(sqrt(D)).
+    # 1. Expansion rounding. -S is a dot product of length n of [q,
+    #    fl(|q|^2), 1] and [-2e, 1, fl(|e|^2)], within g(n) times the sum of
+    #    its terms' magnitudes, at most (2 + g(d)) * P, of its exact value;
+    #    each norm is within g(d) of exact. So -S is within 3.01 * g(n) * P
+    #    of |q - e|^2.
+    # 2. Rounding of the exact sum. D puts at most d + 1 roundings on each
+    #    term, so it is within g(n) * |q - e|^2 <= 2 * g(n) * P of |q - e|^2.
+    #    With 1., |S + D| <= 5.01 * g(n) * P <= 5.1 * n*u * P while n*u < 2**-20.
+    # 3. Rounding of the sqrt. Q = fl(X_t * X_t) is within 3.01u * D_t of
+    #    D_t. A candidate with D < Q * (1 - 3u) scores strictly above the
+    #    target, one with D > Q * (1 + 5u) strictly below; in between, sqrt
+    #    can round distinct D to one score.
+    # The centre S_t is within 5.1 * n*u * P of -D_t, so with 1. to 3. the
+    # margin is 10.2 * n*u * P + 8.1u * D_t, and D_t <= |S_t| + 5.1 * n*u * P.
+    # B = 2**-47 * (n*P + |S_t|) = 64u * (n*P + |S_t|) is more than twice it.
+    # Both kinds: where a value is subnormal, a rounding errs by up to
+    # 2**-1075 instead; far fewer than 2**40 roundings feed one value, so
+    # the smallest normal float, 2**-1022, added to B covers them. Every
+    # partial sum is at most 2.01 times the block's scale (P, or M) in
+    # magnitude, so nothing overflows where 4 * scale is finite, and the
+    # target's screened value is finite. Elsewhere every screened value of
+    # the block is set to NaN, and the band is every finite value.
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing block is handled below
         square_norms = np.einsum("ij,ij->i", q, q)
-        screened = np.column_stack([q, square_norms, np.ones(len(q))]) @ screen.augmented.T
-        p = square_norms + screen.max_square_norm
-        screened[~(p <= _MAX_FLOAT / 4)] = np.nan
-        target_squares = target_scores * target_scores  # Q
-        bound = _SCREEN_ULPS * ((q.shape[1] + 2) * p + target_squares) + _TINY
-        return (screened, target_scores, target_squares - bound,
-                np.minimum(target_squares + bound, _MAX_FLOAT))
+        top = square_norms.max(initial=0.0)
+        if params.kind == "transe":
+            screened = np.column_stack([q, square_norms, np.ones(len(q))]) @ table.rows.T
+            scale = top + table.max_square_norm
+        else:
+            screened = q @ table.rows.T
+            scale = math.sqrt(top) * math.sqrt(table.max_square_norm)
+    if not scale <= _MAX_FLOAT / 4:
+        screened[:] = np.nan
+        return screened, q, np.full(len(q), -_MAX_FLOAT), np.full(len(q), _MAX_FLOAT)
+    centre = screened[np.arange(len(q)), targets]
+    spread = np.abs(centre) if params.kind == "transe" else 0.0
+    bound = _SCREEN_ULPS * (n * scale + spread) + _TINY
+    return screened, q, centre - bound, centre + bound
 
 
 def _score_all(params: ModelParams, slot: str, a, b) -> np.ndarray:
@@ -385,22 +417,17 @@ def _score_all(params: ModelParams, slot: str, a, b) -> np.ndarray:
 
     ``a`` and ``b`` are the other two slots' ids in ``(h, r, t)`` order:
     ints give one score per table row, equal-length arrays one row of
-    scores per pair.
+    scores per pair. Every score comes from the kind's exact formula.
     """
     scalar = np.ndim(a) == np.ndim(b) == 0
-    a, b = _id_arrays(params, **dict(zip([s for s in "hrt" if s != slot], (a, b))))
-    q = _queries(params, slot, a, b)
+    a, b = id_arrays(params, **dict(zip([s for s in "hrt" if s != slot], (a, b))))
+    q = _flat(_queries(params, slot, a, b))
     table = _candidate_table(params, slot)
-    if q.ndim == 3:  # RESCAL's relation queries meet its table flattened to (|R|, d*d)
-        width = params.dim ** 2
-        q, table = q.reshape(len(q), width), table.reshape(len(table), width)
-    if params.kind != "transe":
-        out = q @ table.T
-    else:
-        table_columns = np.empty((table.shape[1], len(table)))
-        for lo in range(0, len(table), 128):  # one transposing copy of a large table misses cache
-            table_columns[:, lo:lo + 128] = table[lo:lo + 128].T
-        out = _negated_distances(np.ascontiguousarray(q.T)[:, :, None], table_columns)
+    table_columns = np.empty((table.shape[1], len(table)))
+    for lo in range(0, len(table), 128):  # one transposing copy of a large table misses cache
+        table_columns[:, lo:lo + 128] = table[lo:lo + 128].T
+    out = _exact_scores(params.kind, params.dim, np.ascontiguousarray(q.T)[:, :, None],
+                        table_columns)
     return out[0] if scalar else out
 
 
@@ -446,7 +473,7 @@ def grad(params: ModelParams, h, r, t, upstream=1.0) -> SparseGrad:
     h == t) are summed into one. TransE's gradient at the singular
     zero-distance point is defined as 0 (measure-zero, avoids NaNs).
     """
-    h, r, t = _id_arrays(params, h=h, r=r, t=t)
+    h, r, t = id_arrays(params, h=h, r=r, t=t)
     u = np.broadcast_to(np.asarray(upstream, dtype=np.float64), h.shape)[:, None]
     E, R = params.entities, params.relations
     kind, dim, m = params.kind, params.dim, len(h)

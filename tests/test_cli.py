@@ -300,19 +300,22 @@ def test_compare_identical_reports_degenerate_exit_65(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
-def test_stats_subcommand(tmp_path, capsys):
+def test_compare_fixtures_takes_a_csv_path(tmp_path, capsys):
     csv_path = tmp_path / "pairs.csv"
     csv_path.write_text(
         "dataset,model,metric,original,corrected\n"
         + "".join(f"x,m{i},mrr,0.1,{0.2 + i / 100}\n" for i in range(6))
     )
-    out_json = tmp_path / "stats.json"
-    assert main(["stats", "--pairs", str(csv_path), "--json", str(out_json)]) == 0
+    out_json = tmp_path / "cmp.json"
+    assert main(["compare", "--fixtures", str(csv_path), "--json", str(out_json)]) == 0
     payload = json.loads(out_json.read_text())
     schema = json.loads((SCHEMA_DIR / "test_result.schema.json").read_text())
-    jsonschema.validate(payload, schema)
-    assert payload["method"] == "exact-enumeration"
-    assert main(["stats", "--pairs", str(tmp_path / "missing.csv")]) == 66
+    jsonschema.validate(payload["test"], schema)
+    assert payload["test"]["method"] == "exact-enumeration"
+    assert len(payload["pairs"]) == 6 and "summary_excluding_transe" not in payload
+    capsys.readouterr()
+    assert main(["compare", "--fixtures", str(tmp_path / "missing.csv")]) == 66
+    assert "no fixture file or shipped fixture named" in capsys.readouterr().err
 
 
 def test_identical_invocations_produce_byte_identical_json(clean_dir, tmp_path):
@@ -411,7 +414,8 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
          "no test triples left"),
         (["audit", "--data", str(tmp_path / "nowhere")], 66, "missing split file"),
         (evaluate(clean, tmp_path / "missing.npz"), 66, "missing.npz"),
-        (["stats", "--pairs", str(tmp_path / "missing.csv")], 66, "missing.csv"),
+        (["compare", "--fixtures", str(tmp_path / "missing.csv")], 66, "missing.csv"),
+        (["compare", "--fixtures", "no-such-fixture"], 66, "no-such-fixture"),
         (["correct", "--data", oov, "--out", str(occupied)], 73, "not empty"),
         (["correct", "--data", oov, "--out", oov, "--force"], 73, "in place"),
         (evaluate(oov, model), 74, "cover"),

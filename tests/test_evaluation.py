@@ -23,7 +23,6 @@ from kgbench import evaluation
 from kgbench.evaluation import (
     OOV_POLICIES,
     EvaluationError,
-    _ranks,
     filtered_rank_pair,
     rank_records,
 )
@@ -34,6 +33,8 @@ from kgbench.models import (
     score_all_heads,
     score_all_relations,
     score_all_tails,
+    screen,
+    screen_table,
 )
 
 from conftest import make_dataset, random_kg, write_split_files
@@ -50,6 +51,7 @@ SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "kgbench" / "schem
 
 TIES = ("mean", "optimistic", "pessimistic")
 DIRECTIONS = ("tail", "head", "relation")
+DOT_KINDS = ("rescal", "distmult", "complex")
 
 
 def test_single_candidate_ranks_first():
@@ -80,14 +82,24 @@ def test_rank_requires_triple_in_index():
 
 
 def test_rank_pair_translation_invariance():
+    # A coordinate that every entity shares adds one constant to every tail
+    # score. Integer rows score integers, with many ties, so the constant
+    # keeps both their order and their ties exact.
     rng = np.random.default_rng(3)
-    scores = rng.normal(size=40)
-    scores[7] = scores[21]  # force a tie group
-    scores[5] = -np.inf  # a filtered candidate
-    for tie in TIES:
-        base = _ranks(scores[None], np.array([21]), tie)
-        shifted = _ranks(scores[None] + 123.456, np.array([21]), tie)
-        assert [x.tolist() for x in base] == [x.tolist() for x in shifted]
+    ds = random_kg(rng, 40, 2, n_train=60, n_test=12)
+    n_e, n_r = ds.vocab.n_entities, ds.vocab.n_relations
+    entities = rng.integers(-2, 3, size=(n_e, 3)).astype(float)
+    relations = rng.integers(-2, 3, size=(n_r, 3)).astype(float)
+    base = ModelParams("distmult", 3, entities, relations)
+    shifted = ModelParams("distmult", 4, np.hstack([entities, np.full((n_e, 1), 2.0)]),
+                          np.hstack([relations, np.full((n_r, 1), 30.864)]))
+    idx = filter_index_build(ds)
+    ranks = []
+    for tr in ds.test.tolist():
+        for tie in TIES:
+            ranks.append(filtered_rank_pair(base, idx, *tr, "tail", tie))
+            assert filtered_rank_pair(shifted, idx, *tr, "tail", tie) == ranks[-1], (tr, tie)
+    assert any(rank % 1 for rank, _ in ranks)  # a tie group under the mean policy
 
 
 def test_boosting_a_filtered_candidate_never_changes_rank():
@@ -469,14 +481,14 @@ def test_rank_records_do_not_depend_on_the_block_size(kind, monkeypatch):
                 assert records[0] == records[1] == records[2], (policy, tie, reciprocal)
 
 
-def test_transe_ranks_with_duplicated_entity_rows_equal_the_oracle():
+def _assert_duplicated_entity_rows_rank_as_the_oracle(kind):
     # Equal rows must score exactly equal, or ties are broken by row position.
     # Five entities, one more than a multiple of four, as in a BLAS remainder row.
     chain = make_dataset([(f"e{i}", "p", f"e{i + 1}") for i in range(4)], [], [("e4", "p", "e0")])
     kgs = [(chain, 1), (random_kg(np.random.default_rng(8), 11, 2, n_train=30, n_test=8), 3)]
     for ds, groups in kgs:
         n = ds.vocab.n_entities
-        params = init_params("transe", n, ds.vocab.n_relations, 8, seed=3)
+        params = init_params(kind, n, ds.vocab.n_relations, 8, seed=3)
         params.entities[:] = params.entities[np.arange(n) % groups]
         idx = filter_index_build(ds)
         union = set(dataset_rows(ds))
@@ -490,6 +502,38 @@ def test_transe_ranks_with_duplicated_entity_rows_equal_the_oracle():
                     got = (getattr(rec, f"rank_{direction}"),
                            getattr(rec, f"hits_rank_{direction}"))
                     assert got == want, (rec, direction, tie)
+
+
+def test_transe_ranks_with_duplicated_entity_rows_equal_the_oracle():
+    _assert_duplicated_entity_rows_rank_as_the_oracle("transe")
+
+
+@pytest.mark.parametrize("kind", DOT_KINDS)
+def test_dot_product_ranks_with_duplicated_entity_rows_equal_the_oracle(kind):
+    _assert_duplicated_entity_rows_rank_as_the_oracle(kind)
+
+
+def test_equal_entity_rows_tie_exactly_for_every_kind():
+    # Every entity row equal, so every candidate ties with the target. A BLAS
+    # score product rounds a row by its position in the table, and so broke
+    # such ties: with seed 1, DistMult's tail rank was (2.5, 4) and its MRR 0.300.
+    chain = make_dataset([(f"e{i}", "p", f"e{i + 1}") for i in range(4)], [], [("e4", "p", "e0")])
+    idx = filter_index_build(chain)
+    union = set(dataset_rows(chain))
+    triple = chain.test[0].tolist()
+    for kind in MODEL_KINDS:
+        for seed in range(20):
+            params = init_params(kind, 5, 1, 8, seed)
+            params.entities[:] = params.entities[0]
+            for direction in ("tail", "head"):
+                for tie in TIES:
+                    want = brute_force_rank(params, union, *triple, direction, tie, range(5))
+                    got = filtered_rank_pair(params, idx, *triple, direction, tie)
+                    assert got == want, (kind, seed, direction, tie)
+    params = init_params("distmult", 5, 1, 8, 1)
+    params.entities[:] = params.entities[0]
+    assert filtered_rank_pair(params, idx, *triple, "tail") == (3.0, 5)
+    assert evaluate(params, chain).mrr == pytest.approx(1 / 3)
 
 
 def _assert_ranks_equal_sorted_exact_rows(params, ds, split, reciprocal):
@@ -529,8 +573,16 @@ def _near_tie_rows(rng, n, d, scale):
     return rows
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 33])
-def test_transe_near_ties_rank_as_the_sorted_exact_scores(dim):
+def _near_tie_params(rng, kind, dim, n_entities, n_relations, scale):
+    width = 2 * dim if kind == "complex" else dim
+    entities = _near_tie_rows(rng, n_entities, width, scale)
+    if kind == "rescal":
+        return ModelParams(kind, dim, entities, _near_tie_rows(
+            rng, n_relations, dim * dim, scale).reshape(n_relations, dim, dim))
+    return ModelParams(kind, dim, entities, _near_tie_rows(rng, n_relations, width, scale))
+
+
+def _assert_near_ties_rank_as_the_sorted_exact_scores(kind, dim):
     # Equal rows and rows one float step apart give exact scores that tie or
     # differ in the last place, which the screen cannot tell apart: they are
     # counted from the exact scores of the band.
@@ -539,10 +591,31 @@ def test_transe_near_ties_rank_as_the_sorted_exact_scores(dim):
     for scale in (1e-3, 1.0, 1e3):
         for reciprocal in (False, True):
             n_rel = ds.vocab.n_relations * (2 if reciprocal else 1)
-            params = ModelParams("transe", dim,
-                                 _near_tie_rows(rng, ds.vocab.n_entities, dim, scale),
-                                 _near_tie_rows(rng, n_rel, dim, scale))
+            params = _near_tie_params(rng, kind, dim, ds.vocab.n_entities, n_rel, scale)
             _assert_ranks_equal_sorted_exact_rows(params, ds, "test", reciprocal)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 33])
+def test_transe_near_ties_rank_as_the_sorted_exact_scores(dim):
+    _assert_near_ties_rank_as_the_sorted_exact_scores("transe", dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 33])
+@pytest.mark.parametrize("kind", DOT_KINDS)
+def test_dot_product_near_ties_rank_as_the_sorted_exact_scores(kind, dim, monkeypatch):
+    if kind == "rescal":
+        # A RESCAL entity query is a BLAS product whose rounding depends on
+        # the rows it is computed with, and the oracle's rows come from one
+        # query per call: so do the ranked blocks here.
+        monkeypatch.setattr(evaluation, "BLOCK_FLOATS", 1)
+    _assert_near_ties_rank_as_the_sorted_exact_scores(kind, dim)
+
+
+def _assert_overflowing_screen_ranks_as_the_sorted_exact_scores(params, ds):
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_ranks_equal_sorted_exact_rows(params, ds, "test", False)
+        ranks = [rec.rank_tail for rec in rank_records(params, ds, tie="optimistic")]
+    assert max(ranks) > 1, ranks  # not every target first
 
 
 def test_transe_ranks_where_the_screen_overflows_equal_the_sorted_exact_scores():
@@ -552,11 +625,33 @@ def test_transe_ranks_where_the_screen_overflows_equal_the_sorted_exact_scores()
     ds = random_kg(rng, 10, 2, n_train=20, n_test=6)
     params = ModelParams("transe", 16, 1e155 + rng.normal(scale=1e145, size=(10, 16)),
                          rng.normal(scale=1e145, size=(2, 16)))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         assert not np.isfinite(np.einsum("ij,ij->i", params.entities, params.entities)).any()
-        _assert_ranks_equal_sorted_exact_rows(params, ds, "test", False)
-        ranks = [rec.rank_tail for rec in rank_records(params, ds, tie="optimistic")]
-    assert max(ranks) > 1, ranks  # not every target first
+    _assert_overflowing_screen_ranks_as_the_sorted_exact_scores(params, ds)
+
+
+@pytest.mark.parametrize("kind", DOT_KINDS)
+def test_dot_product_ranks_where_the_screen_overflows_equal_the_sorted_exact_scores(
+        kind, monkeypatch):
+    # Each product q_k * e_k is near 5e306, so |q| * max |e| is past a quarter
+    # of the largest float and the screen sends every row to the band, though
+    # every exact score is finite: those rows are re-scored exactly.
+    rng = np.random.default_rng(4)
+    ds = random_kg(rng, 10, 2, n_train=20, n_test=6)
+    n_e, n_r = ds.vocab.n_entities, ds.vocab.n_relations
+    entities = (rng.choice([-1.0, 1.0], size=(n_e, 16))
+                * (1e153 + rng.normal(scale=1e151, size=(n_e, 16))))
+    if kind == "rescal":
+        monkeypatch.setattr(evaluation, "BLOCK_FLOATS", 1)  # as in the near-tie test
+        relations = 5.0 * np.eye(16) + rng.normal(scale=1e-2, size=(n_r, 16, 16))
+    else:
+        relations = rng.choice([-1.0, 1.0], size=(n_r, 16)) * (5.0 + rng.normal(
+            scale=5e-2, size=(n_r, 16)))
+    params = ModelParams(kind, 8 if kind == "complex" else 16, entities, relations)
+    h, r, t = ds.test.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(screen(params, screen_table(params, "t"), "t", h, r, t)[0]).all()
+    _assert_overflowing_screen_ranks_as_the_sorted_exact_scores(params, ds)
 
 
 def test_non_finite_parameters_are_refused():
@@ -574,8 +669,21 @@ def test_overflowing_target_score_is_refused():
     params.entities[:] = 1e200  # finite rows whose products overflow to inf
     with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="not finite"):
         evaluate(params, ds, split="test")
+    params = init_params("distmult", 3, 1, 3, seed=0)
+    params.entities[ds.vocab.entity_id("c")] = np.nan  # the test triple's tail
     with pytest.raises(EvaluationError, match="not finite"):
-        _ranks(np.array([[np.nan, 1.0]]), np.array([0]), "mean")
+        filtered_rank_pair(params, filter_index_build(ds), *ds.test[0], "tail")
+
+
+def test_filtered_rank_pair_refuses_ids_outside_the_tables():
+    # numpy would wrap a negative id silently
+    ds = make_dataset([("a", "p", "b"), ("b", "p", "c")], [], [])
+    params = init_params("distmult", 3, 1, 3, seed=0)
+    idx = filter_index_build(ds)
+    for triple in ((-1, 0, 1), (0, 0, -3), (0, -1, 1), (3, 0, 1), (0, 0, 3), (0, 1, 1)):
+        for direction in DIRECTIONS:
+            with pytest.raises(IndexError, match="out of range"):
+                filtered_rank_pair(params, idx, *triple, direction)
 
 
 def test_exclude_with_everything_oov_errors():

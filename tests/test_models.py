@@ -14,12 +14,14 @@ from kgbench.models import (
     score_all_heads,
     score_all_relations,
     score_all_tails,
-    transe_pair_scores,
-    transe_screen,
-    transe_screen_table,
+    pair_scores,
+    screen,
+    screen_table,
 )
 
 from oracles import central_difference_grad, complex_query, grad_rows, score_via_params
+
+DOT_KINDS = ("rescal", "distmult", "complex")
 
 
 def test_transe_translation_identity_scores_zero():
@@ -103,39 +105,66 @@ def test_score_all_on_id_arrays_equals_one_query_per_call(kind):
         width = 5 if name == "relations" else 13
         assert block.shape == (30, width) and score_all(p, a[:0], b[:0]).shape == (0, width)
         rows = np.array([score_all(p, x, y) for x, y in zip(a.tolist(), b.tolist())])
-        if kind == "transe":  # summed coordinate by coordinate: no dependence on the block
-            assert np.array_equal(block, rows), name
-        else:  # BLAS may sum a one-row product in another order than a many-row one
+        if kind == "rescal" and name != "relations":
+            # a RESCAL entity query is a BLAS product, which may sum a one-row
+            # product in another order than a many-row one
             np.testing.assert_allclose(block, rows, rtol=1e-12, atol=1e-15)
+        else:  # summed coordinate by coordinate: no dependence on the block
+            assert np.array_equal(block, rows), name
 
 
-@pytest.mark.parametrize("dim", [1, 2, 16, 33])
-def test_transe_pair_scores_equal_score_all_bit_for_bit(dim):
+@pytest.mark.parametrize("kind", ["transe", "distmult", "complex"])
+def test_score_all_tails_equal_the_scalar_oracle_bit_for_bit(kind):
+    # one term per coordinate, added in coordinate order, as the oracle adds them
+    rng = np.random.default_rng(17)
+    for dim in (1, 2, 7, 16, 33):
+        p = init_params(kind, 30, 4, dim, seed=dim)
+        p.entities[:] = rng.normal(size=p.entities.shape)
+        p.relations[:] = rng.normal(size=p.relations.shape)
+        oracle = score_via_params(p)
+        h, r = rng.integers(30, size=8), rng.integers(4, size=8)
+        block = score_all_tails(p, h, r)
+        want = [[oracle(a, b, x) for x in range(30)] for a, b in zip(h.tolist(), r.tolist())]
+        assert np.array_equal(block, want), dim
+
+
+def _assert_pair_scores_equal_score_all(kind, dim):
     # the ranker's recount of near ties and score_all_* make one formula
     rng = np.random.default_rng(dim)
-    p = init_params("transe", 40, 6, dim, seed=dim)
+    p = init_params(kind, 40, 6, dim, seed=dim)
     h, r, t = rng.integers(40, size=25), rng.integers(6, size=25), rng.integers(40, size=25)
     for slot, score_all, a, b, n in (("t", score_all_tails, h, r, 40),
                                      ("h", score_all_heads, r, t, 40),
                                      ("r", score_all_relations, h, t, 6)):
         x = rng.integers(n, size=25)
+        queries = screen(p, screen_table(p, slot), slot, a, b, x)[1]
         want = score_all(p, a, b)[np.arange(25), x]
-        assert np.array_equal(transe_pair_scores(p, slot, a, b, x), want), slot
-        assert transe_pair_scores(p, slot, a[:0], b[:0], x[:0]).shape == (0,)
+        assert np.array_equal(pair_scores(p, slot, queries, x), want), slot
+        assert pair_scores(p, slot, queries[:0], x[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 33])
+def test_transe_pair_scores_equal_score_all_bit_for_bit(dim):
+    _assert_pair_scores_equal_score_all("transe", dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 33])
+@pytest.mark.parametrize("kind", DOT_KINDS)
+def test_pair_scores_equal_score_all_bit_for_bit(kind, dim):
+    _assert_pair_scores_equal_score_all(kind, dim)
 
 
 def test_transe_screen_sends_rows_that_may_overflow_to_the_band():
     # |q|^2 + max |e|^2 is past a quarter of the largest float, so some order of
     # summing the screen's product may overflow: the whole row is NaN, which is
-    # in the band, and hi stays finite so that +inf columns stay out of it
+    # in the band, and lo stays finite so that -inf columns stay out of it
     entities = np.array([[0.9e154, 0.9e154], [0.9e154, 0.9e154], [1.0, 1.0]])
     p = ModelParams("transe", 2, entities, np.zeros((1, 2)))
     with np.errstate(over="ignore", invalid="ignore"):
-        screened, target_scores, lo, hi = transe_screen(
-            p, transe_screen_table(p.entities), "t", np.array([0, 2]), np.array([0, 0]),
-            np.array([1, 2]))
-    assert np.isnan(screened).all() and np.isfinite(hi).all()
-    assert target_scores.tolist() == [0.0, 0.0]
+        screened, queries, lo, hi = screen(p, screen_table(p, "t"), "t", np.array([0, 2]),
+                                           np.array([0, 0]), np.array([1, 2]))
+    assert np.isnan(screened).all() and np.isfinite(lo).all() and np.isfinite(hi).all()
+    assert pair_scores(p, "t", queries, np.array([1, 2])).tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("slot", ["h", "r", "t"])
