@@ -19,19 +19,22 @@ Tie handling is configurable (optimistic / pessimistic / mean); under the
 default mean policy MRR uses the mean rank (half-integers allowed) while
 Hits@N counts ties at the boundary as misses.
 
-Ranking works a block of queries at a time, the same way for every model
-kind: one ``screen`` call approximates every candidate score of the block
-with one matrix product and gives each query a band around its target's
-screened value, wide enough to cover every rounding (the proof is in
-``models``). The known-true candidates of all the block's queries come
-from the ``FilterIndex`` key arrays in one vectorised lookup and are set to
-``-inf``, as are the columns that are not candidates, except each query's
-own target. A row counts the screened values above its band as scores
-above the target; the band itself (non-finite screened values included)
-is re-scored with ``pair_scores``, each kind's exact formula, in the rows
-where it holds more than the target. So ranks are those of the exact
-scores. ``BLOCK_FLOATS`` bounds a block's size. ``filtered_rank_pair``
-ranks one query as a block of one.
+Ranking works one direction of a split at a time, the same way for every
+model kind. One vectorised lookup of the ``FilterIndex`` key arrays gives
+every query's known-true candidates, and the refusals (a triple not in the
+index, a target that is not a candidate) run once, on the whole split. Then
+the split is ranked a block of queries at a time: one ``screen`` call
+approximates every candidate score of the block with one matrix product and
+gives each query a band around its target's screened value, wide enough to
+cover every rounding (the proof is in ``models``). The block's known-true
+candidates and the columns that are not candidates, except each query's own
+target, are set to ``-inf``. A row counts the screened values above its band
+as scores above the target; the band itself (non-finite screened values
+included) is re-scored with ``pair_scores``, each kind's exact formula, in
+the rows where it holds more than the target. So ranks are those of the
+exact scores. ``BLOCK_FLOATS`` bounds a block's size, and a block's scores
+live only while it is ranked. ``filtered_rank_pair`` ranks a split of one
+query.
 """
 
 from __future__ import annotations
@@ -142,8 +145,10 @@ def _ranks(params: ModelParams, slot: str, screened: np.ndarray, queries: np.nda
     value is not finite. Elsewhere the screen bounds the exact target
     score, so it is finite.
     """
-    above = np.count_nonzero(screened > hi[:, None], axis=1)
-    band = screened.shape[1] - above - np.count_nonzero(screened < lo[:, None], axis=1)
+    # an int32 sum of the bytes counts a boolean row faster than count_nonzero
+    above = (screened > hi[:, None]).view(np.uint8).sum(axis=1, dtype=np.int32)
+    band = (screened.shape[1] - above
+            - (screened < lo[:, None]).view(np.uint8).sum(axis=1, dtype=np.int32))
     level = np.ones_like(above)  # the target, alone in its band
     centre = screened[np.arange(len(targets)), targets]
     rows = np.flatnonzero((band > 1) | ~np.isfinite(centre))
@@ -171,21 +176,36 @@ def _inverse_relations(params: ModelParams, r: np.ndarray) -> np.ndarray:
     return base + r
 
 
-def _dropped_columns(n_columns: int, candidates: np.ndarray | None) -> np.ndarray:
-    """A mask of the score columns that are not candidates (all are, for ``None``)."""
-    dropped = np.ones(n_columns, dtype=bool)
-    dropped[slice(None) if candidates is None else candidates] = False
-    return dropped
+def _rank_block(params: ModelParams, table: ScreenTable, slot: str, a: np.ndarray,
+                b: np.ndarray, targets: np.ndarray, query: np.ndarray, known: np.ndarray,
+                dropped: np.ndarray, tie: str) -> tuple[np.ndarray, np.ndarray]:
+    """Filtered (MRR ranks, Hits ranks) of one block of queries.
+
+    One ``screen`` call screens the block against ``table``. The block's
+    filtered cells ``(query[i], known[i])`` and its ``dropped`` columns are
+    set to ``-inf`` before the ranks are counted. The score plane lives only
+    in this call, so a split holds one block's plane at a time.
+    """
+    screened, queries, lo, hi = screen(params, table, slot, a, b, targets)
+    screened[query, known] = -np.inf
+    if dropped.size:
+        screened[:, dropped] = -np.inf
+    return _ranks(params, slot, screened, queries, lo, hi, targets, tie)
 
 
-def _rank_block(params: ModelParams, table: ScreenTable, index: FilterIndex,
-                triples: np.ndarray, direction: str, tie: str, dropped: np.ndarray,
-                reciprocal: bool) -> tuple[np.ndarray, np.ndarray]:
+def _rank_direction(params: ModelParams, table: ScreenTable, index: FilterIndex,
+                    triples: np.ndarray, direction: str, tie: str,
+                    candidates: np.ndarray | None,
+                    reciprocal: bool) -> tuple[np.ndarray, np.ndarray]:
     """Filtered (MRR ranks, Hits ranks) of one slot of each row of ``triples``.
 
-    One ``screen`` call screens the whole block against ``table``. Each
-    row's known-true candidates other than its target, and the ``dropped``
-    columns, are taken out before the ranks are counted.
+    Once for all rows: one ``FilterIndex.runs`` lookup of every row's
+    known-true candidates, the refusals of a row that is not in the index or
+    whose target is not a candidate (the first such row, in row order), and
+    the columns outside ``candidates`` (``None``: every column is one). Then
+    each block of as many rows as keep its scores and queries within
+    ``BLOCK_FLOATS`` float64s is ranked by ``_rank_block``, with the filtered
+    candidates other than its rows' targets.
     """
     h, r, t = triples.T
     if direction == "tail":
@@ -199,7 +219,6 @@ def _rank_block(params: ModelParams, table: ScreenTable, index: FilterIndex,
         keys, fixed, targets = index.by_ht, (h, t), r
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    screened, queries, lo, hi = screen(params, table, slot, a, b, targets)
     query, known = index.runs(keys, *fixed)
     is_target = known == targets[query]
     found = np.zeros(len(triples), dtype=bool)
@@ -209,12 +228,27 @@ def _rank_block(params: ModelParams, table: ScreenTable, index: FilterIndex,
             f"triple {tuple(triples[found.argmin()].tolist())} is not in the filter index; "
             f"refusing to rank against unfiltered data"
         )
-    outside = dropped[targets]
-    if outside.any():
-        raise EvaluationError(f"target id {targets[outside][0]} is not in the candidate set")
-    screened[query[~is_target], known[~is_target]] = -np.inf
-    screened[:, dropped] = -np.inf
-    return _ranks(params, slot, screened, queries, lo, hi, targets, tie)
+    rows = params.relations if direction == "relation" else params.entities
+    candidate = np.zeros(len(rows), dtype=bool)
+    candidate[slice(None) if candidates is None else candidates] = True
+    if not candidate[targets].all():
+        outside = targets[~candidate[targets]][0]
+        raise EvaluationError(f"target id {outside} is not in the candidate set")
+    dropped = (~candidate).nonzero()[0]
+    filtered = ~is_target
+    query, known = query[filtered], known[filtered]
+    step = max(1, BLOCK_FLOATS // (len(rows) + rows[0].size))
+    starts = range(0, len(triples), step)
+    # runs groups the pairs by row, so one search splits them by block
+    ends = query.searchsorted(starts[1:]).tolist() if len(starts) > 1 else []
+    ranks = np.empty(len(triples))
+    hits_ranks = np.empty(len(triples), dtype=np.int64)
+    for start, i, j in zip(starts, [0, *ends], [*ends, len(query)]):
+        block = slice(start, start + step)
+        ranks[block], hits_ranks[block] = _rank_block(
+            params, table, slot, a[block], b[block], targets[block], query[i:j] - start,
+            known[i:j], dropped, tie)
+    return ranks, hits_ranks
 
 
 def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, t: int,
@@ -227,16 +261,15 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
     removed (the query triple itself survives). ``candidates`` optionally
     restricts the candidate ids (used by the exclude policy and by
     reciprocal checkpoints whose parameter tables exceed the vocabulary).
-    This is the block ranker of ``evaluate`` applied to one query. Ids
+    This is the ranker of ``evaluate`` applied to a split of one query. Ids
     outside the parameter tables raise ``IndexError``.
     """
     _check_tie(tie)
     triple = np.array([[h, r, t]], dtype=np.int64)
     id_arrays(params, h=triple[:, 0], r=triple[:, 1], t=triple[:, 2])
-    slot = "r" if direction == "relation" else "t"
-    table = screen_table(params, slot)
-    rank, hits_rank = _rank_block(params, table, index, triple, direction, tie,
-                                  _dropped_columns(len(table.rows), candidates), reciprocal)
+    table = screen_table(params, "r" if direction == "relation" else "t")
+    rank, hits_rank = _rank_direction(params, table, index, triple, direction, tie,
+                                      candidates, reciprocal)
     return float(rank[0]), int(hits_rank[0])
 
 
@@ -280,11 +313,7 @@ def _setup(params: ModelParams, dataset: SplitDataset, split: str, policy: str,
 
 def _rank_split(params: ModelParams, setup: _EvalSetup, directions: tuple[str, ...],
                 tie: str, reciprocal: bool) -> tuple[np.ndarray, np.ndarray]:
-    """MRR ranks and Hits ranks of every split triple, one column per direction.
-
-    Triples are ranked in blocks of as many queries as keep the block's
-    scores and queries within ``BLOCK_FLOATS`` float64s.
-    """
+    """MRR ranks and Hits ranks of every split triple, one column per direction."""
     _check_tie(tie)
     shape = (len(setup.triples), len(directions))
     ranks = np.empty(shape)
@@ -292,18 +321,14 @@ def _rank_split(params: ModelParams, setup: _EvalSetup, directions: tuple[str, .
     tables = {}  # by the slot whose table it is: heads and tails share the entities'
     for j, direction in enumerate(directions):
         if direction == "relation":
-            slot, rows, candidates = "r", params.relations, setup.relation_candidates
+            slot, candidates = "r", setup.relation_candidates
         else:
-            slot, rows, candidates = "t", params.entities, setup.entity_candidates
+            slot, candidates = "t", setup.entity_candidates
         if slot not in tables:
             tables[slot] = screen_table(params, slot)
-        dropped = _dropped_columns(len(rows), candidates)
-        step = max(1, BLOCK_FLOATS // (len(rows) + rows[0].size))
-        for lo in range(0, shape[0], step):
-            block = slice(lo, lo + step)
-            ranks[block, j], hits_ranks[block, j] = _rank_block(
-                params, tables[slot], setup.index, setup.triples[block], direction, tie,
-                dropped, reciprocal)
+        ranks[:, j], hits_ranks[:, j] = _rank_direction(
+            params, tables[slot], setup.index, setup.triples, direction, tie, candidates,
+            reciprocal)
     return ranks, hits_ranks
 
 

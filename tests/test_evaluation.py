@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgbench import (
+    FilterIndex,
     ModelParams,
     Triple,
     detect_oov,
@@ -479,6 +481,84 @@ def test_rank_records_do_not_depend_on_the_block_size(kind, monkeypatch):
                     records.append(rank_records(params, ds, policy=policy, tie=tie,
                                                 reciprocal=reciprocal))
                 assert records[0] == records[1] == records[2], (policy, tie, reciprocal)
+
+
+@pytest.mark.parametrize("policy", OOV_POLICIES)
+def test_each_ranked_direction_makes_one_filter_lookup(policy, monkeypatch):
+    # The lookup and the refusals belong to the split's direction, not to a block.
+    ds = _oov_kg(60)
+    params = init_params("distmult", ds.vocab.n_entities, ds.vocab.n_relations, 3, seed=7)
+    runs, calls = FilterIndex.runs, []
+
+    def counting_runs(self, keys, a, b):
+        calls.append(len(a))
+        return runs(self, keys, a, b)
+
+    monkeypatch.setattr(FilterIndex, "runs", counting_runs)
+    for floats in (1, 60, 2 ** 62):  # 12, 3 and 1 blocks per entity direction
+        monkeypatch.setattr(evaluation, "BLOCK_FLOATS", floats)
+        calls.clear()
+        records = rank_records(params, ds, policy=policy)
+        assert calls == [len(records)] * 3, floats
+
+
+def _traced_peak(call):
+    """The peak bytes that ``call()`` allocates, as numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_evaluate_holds_one_block_of_scores_at_a_time(kind):
+    # 2,000 entities make 7 blocks of 64 or 65 queries per direction, each
+    # with a plane of about BLOCK_FLOATS float64s. A plane kept alive while
+    # the next block is screened would double the peak.
+    ds = random_kg(np.random.default_rng(13), 2000, 20, n_train=3000, n_test=400)
+    params = init_params(kind, 2000, 20, 16, seed=13)
+    plane = evaluation.BLOCK_FLOATS * 8
+    table = screen_table(params, "t").rows.nbytes  # TransE's is a new array
+    linear = 64 * sum(len(ds.split(name)) for name in ("train", "valid", "test"))
+    for policy in OOV_POLICIES:
+        peak = _traced_peak(lambda: evaluate(params, ds, policy=policy))
+        assert peak <= 1.25 * plane + table + linear, (policy, peak)
+
+
+@pytest.mark.parametrize("tie", TIES)
+def test_ranks_past_the_uint8_and_uint16_ranges_are_counted_exactly(tie):
+    # One query over 70,001 candidates with its target near the bottom, and
+    # 300 candidates tied with it: both counts overflow a uint8, and the ranks
+    # a uint16, so a narrow accumulator in the row counts would show.
+    n = 70_001
+    ds = make_dataset([(f"e{i}", "p", f"e{i + 1}") for i in range(n - 1)], [],
+                      [("e0", "p", "e2")])
+    values = np.random.default_rng(9).uniform(1.0, 2.0, size=n)
+    values[:2] = 1.0005, 1.5  # the head, and e1, filtered in both directions
+    values[2] = 1.001  # the tail
+    values[3:303] = 1.001  # ties with the tail
+    values[303:603] = 1.0005  # ties with the head
+    params = ModelParams("distmult", 1, values[:, None], np.ones((1, 1)))
+    triple = ds.test[0].tolist()
+    assert triple == [0, 0, 2]  # entity ids follow the labels
+    union = set(dataset_rows(ds))
+    (record,) = rank_records(params, ds, tie=tie)
+    for direction in ("tail", "head"):
+        want = brute_force_rank(params, union, *triple, direction, tie, range(n))
+        scores = values * values[triple[0 if direction == "tail" else 2]]
+        target = scores[triple[2 if direction == "tail" else 0]]
+        kept = np.ones(n, dtype=bool)
+        kept[1] = False
+        above = np.count_nonzero(kept & (scores > target))
+        level = np.count_nonzero(kept & (scores == target))
+        assert above > 65_535 and level > 255
+        assert want[1] == (above + level if tie != "optimistic" else above + 1)
+        got = (getattr(record, f"rank_{direction}"), getattr(record, f"hits_rank_{direction}"))
+        assert got == want, direction
+        assert filtered_rank_pair(params, filter_index_build(ds), *triple, direction,
+                                  tie) == want
 
 
 def _assert_duplicated_entity_rows_rank_as_the_oracle(kind):
