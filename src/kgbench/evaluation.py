@@ -24,12 +24,12 @@ model kind. One vectorised lookup of the ``FilterIndex`` key arrays gives
 every query's known-true candidates, and the refusals (a triple not in the
 index, a target that is not a candidate) run once, on the whole split. Then
 the split is ranked a block of queries at a time: one ``screen`` call
-approximates every candidate score of the block with one matrix product and
-gives each query a band around its target's screened value, wide enough to
-cover every rounding (the proof is in ``models``). The block's known-true
-candidates and the columns that are not candidates, except each query's own
-target, are set to ``-inf``. A row counts the screened values above its band
-as scores above the target; the band itself (non-finite screened values
+approximates, with one matrix product, every candidate score of the block
+less its query's target score, and gives the block one bound ``B``, wide
+enough to cover every rounding (the proof is in ``models``). The block's
+known-true candidates and the columns that are not candidates, except each
+query's own target, are set to ``-inf``. A row counts the values above
+``B`` as scores above the target; the band ``[-B, B]`` (``NaN`` values
 included) is re-scored with ``pair_scores``, each kind's exact formula, in
 the rows where it holds more than the target. So ranks are those of the
 exact scores. ``BLOCK_FLOATS`` bounds a block's size, and a block's scores
@@ -132,29 +132,25 @@ def _tie_ranks(optimistic: np.ndarray, level: np.ndarray,
     return (optimistic + pessimistic) / 2.0, pessimistic
 
 
-def _ranks(params: ModelParams, slot: str, screened: np.ndarray, queries: np.ndarray,
-           lo: np.ndarray, hi: np.ndarray, targets: np.ndarray,
-           tie: str) -> tuple[np.ndarray, np.ndarray]:
+def _ranks(params: ModelParams, slot: str, plane: np.ndarray, queries: np.ndarray,
+           bound: float, targets: np.ndarray, tie: str) -> tuple[np.ndarray, np.ndarray]:
     """(rank for MRR, integer rank for Hits@N) of each row's target column.
 
-    ``screened``, ``queries``, ``lo`` and ``hi`` are ``screen``'s. Filtered
-    and non-candidate columns hold ``-inf``, below every ``lo``. Screened
-    values above ``hi`` count as above the target, and the band between
-    ``lo`` and ``hi`` (``NaN`` included) is re-scored exactly in the rows
-    where it holds more than the target or where the target's screened
-    value is not finite. Elsewhere the screen bounds the exact target
-    score, so it is finite.
+    ``plane``, ``queries`` and ``bound`` are ``screen``'s. Filtered and
+    non-candidate columns hold ``-inf``, below ``-bound``. Plane values
+    above ``bound`` count as above the target, and the band between
+    ``-bound`` and ``bound`` (``NaN`` included), which holds the target's
+    own value, is re-scored exactly in the rows where it holds more than the
+    target or where the target's plane value is not finite. Elsewhere the
+    screen bounds the exact target score, so it is finite.
     """
     # an int32 sum of the bytes counts a boolean row faster than count_nonzero
-    above = (screened > hi[:, None]).view(np.uint8).sum(axis=1, dtype=np.int32)
-    band = (screened.shape[1] - above
-            - (screened < lo[:, None]).view(np.uint8).sum(axis=1, dtype=np.int32))
+    above = (plane > bound).view(np.uint8).sum(axis=1, dtype=np.int32)
+    band = plane.shape[1] - above - (plane < -bound).view(np.uint8).sum(axis=1, dtype=np.int32)
     level = np.ones_like(above)  # the target, alone in its band
-    centre = screened[np.arange(len(targets)), targets]
-    rows = np.flatnonzero((band > 1) | ~np.isfinite(centre))
+    rows = np.flatnonzero((band > 1) | ~np.isfinite(plane[np.arange(len(targets)), targets]))
     if rows.size:
-        part = screened[rows]
-        i, x = np.nonzero(~((part < lo[rows, None]) | (part > hi[rows, None])))
+        i, x = np.nonzero(~(np.abs(plane[rows]) > bound))
         row_queries = queries[rows]
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target is refused
             target = pair_scores(params, slot, row_queries, targets[rows])
@@ -186,11 +182,11 @@ def _rank_block(params: ModelParams, table: ScreenTable, slot: str, a: np.ndarra
     set to ``-inf`` before the ranks are counted. The score plane lives only
     in this call, so a split holds one block's plane at a time.
     """
-    screened, queries, lo, hi = screen(params, table, slot, a, b, targets)
-    screened[query, known] = -np.inf
+    plane, queries, bound = screen(params, table, slot, a, b, targets)
+    plane[query, known] = -np.inf
     if dropped.size:
-        screened[:, dropped] = -np.inf
-    return _ranks(params, slot, screened, queries, lo, hi, targets, tie)
+        plane[:, dropped] = -np.inf
+    return _ranks(params, slot, plane, queries, bound, targets, tie)
 
 
 def _rank_direction(params: ModelParams, table: ScreenTable, index: FilterIndex,

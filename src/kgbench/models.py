@@ -31,11 +31,12 @@ for an ``(m, N)`` block with one row per query. ``pair_scores`` scores
 one candidate per query row with the same formula, bit for bit.
 
 Ranking goes through a screen, the same for every kind: ``screen``
-approximates every score of a block with one matrix product against the
-table that ``screen_table`` builds once, and returns a band around each
-target's screened value, proven in a comment there, outside which the
-screen orders a candidate against the target exactly as the exact scores
-do. The ranker re-scores only the band with ``pair_scores``.
+approximates every score of a block, less the score of its query's target,
+with one matrix product against the table that ``screen_table`` builds once,
+and returns one bound for the block, proven in a comment there: a candidate
+screened beyond it, either way, is ordered against the target exactly as
+the exact scores do. The ranker re-scores only the band within it with
+``pair_scores``.
 
 Scores are uniformly "higher is better" (TransE returns the negated
 distance), which keeps the ranking engine model-agnostic. Parameter rows
@@ -319,10 +320,11 @@ _TINY = np.finfo(np.float64).tiny
 class ScreenTable:
     """A candidate table set up for ``screen``.
 
-    ``rows`` meets the block's queries in one matrix product: the table
-    itself (RESCAL's relations flattened to ``d*d`` columns), or for TransE
-    one row ``[2e, -1, -|e|^2]`` per candidate row ``e``.
-    ``max_square_norm`` is the largest ``|e|^2``.
+    ``rows`` meets the block's queries in one matrix product: one row
+    ``[e, 1]`` per candidate row ``e`` (RESCAL's relations flattened to
+    ``d*d`` columns), or for TransE ``[2e, -1, -|e|^2, 1]``. The last
+    column meets each query's ``-c``, its target's value. ``max_square_norm``
+    is the largest ``|e|^2``.
     """
 
     rows: np.ndarray
@@ -334,82 +336,103 @@ def screen_table(params: ModelParams, slot: str) -> ScreenTable:
     table = _candidate_table(params, slot)
     with np.errstate(over="ignore"):  # an overflowing norm makes every row recounted
         square_norms = np.einsum("ij,ij->i", table, table)
-    if params.kind == "transe":
-        table = np.concatenate([2.0 * table, np.full((len(table), 1), -1.0),
-                                -square_norms[:, None]], axis=1)
-    return ScreenTable(table, float(square_norms.max(initial=0.0)))
+    ones = np.ones((len(table), 1))
+    columns = [2.0 * table, -ones, -square_norms[:, None]] if params.kind == "transe" else [table]
+    return ScreenTable(np.concatenate([*columns, ones], axis=1),
+                       float(square_norms.max(initial=0.0)))
 
 
 def screen(params: ModelParams, table: ScreenTable, slot: str, a: np.ndarray, b: np.ndarray,
-           targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Screened scores of a block of queries, and the band around each target that needs a recount.
+           targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Screened scores of a block of queries, less each target's, and the band that needs a recount.
 
     ``a`` and ``b`` are the other two slots' in-range ids in ``(h, r, t)``
     order, as in ``score_all_*``, ``targets`` one candidate id per query and
-    ``table`` the slot's ``screen_table``. Returns ``(screened, queries, lo,
-    hi)``. ``screened`` is ``(m, N)``, one matrix product that approximates
-    every score, higher is better: ``queries @ table.T``, or for TransE
-    ``[q, |q|^2, 1] @ [2e, -1, -|e|^2].T = -|q - e|^2``. ``queries`` are
-    the block's slot queries, one flat row each, for ``pair_scores``. A
-    candidate screened above ``hi[i]`` scores strictly above query ``i``'s
-    target, one below ``lo[i]`` strictly below it; the band between,
-    centred on the target's screened value, must be scored exactly. Where a
-    product may overflow, the whole block is ``NaN`` and its band is every
-    finite value. ``lo`` is finite, so a ``-inf`` column is out of the band.
+    ``table`` the slot's ``screen_table``. Returns ``(plane, queries,
+    bound)``. ``plane`` is ``(m, N)``, one matrix product that approximates
+    every score less the target's, higher is better: ``[q, -c] @ [e, 1].T``,
+    or for TransE ``[q, |q|^2, 1, -c] @ [2e, -1, -|e|^2, 1].T = -|q - e|^2
+    - c``, where ``c`` is the query's target value, one row dot product.
+    ``queries`` are the block's slot queries, one flat row each, for
+    ``pair_scores``. A candidate whose plane value is above ``bound`` scores
+    strictly above its query's target, one below ``-bound`` strictly below
+    it; the band between, which holds every target's own value, must be
+    scored exactly. Where a product may overflow, the whole block is ``NaN``
+    and its band is every finite value. ``bound`` is finite, so a ``-inf``
+    column is out of the band.
     """
     q = _flat(_queries(params, slot, a, b))
-    n = q.shape[1] + 2
-    # Why lo and hi hold. Let u = 2**-53, g(n) = n*u / (1 - n*u), S a screened
-    # value, X the exact score of pair_scores, and S_t, X_t the target's. If
-    # |S - X| + |S_t - X_t| < B, S > S_t + B means X > X_t and S < S_t - B
-    # means X < X_t; B must also cover the roundings of B and of S_t -/+ B.
-    # Dot-product kinds: S and X are two sums of the same w = n - 2 products
-    # q_k * e_k (ComplEx's exact sum pairs them first), in different orders.
-    # Summed in any order, with or without fused multiply-adds, each is
-    # within g(w) * sum |q_k * e_k| <= g(w) * |q| * |e| of the exact dot
-    # product (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    # ed., 3.1). With M = max_i |q_i| * max |e|, the margin is 4 * g(w) * M,
-    # and B = 2**-47 * n * M = 64u * n * M is more than ten times that.
-    # TransE: let P = max_i fl(|q_i|^2) + max fl(|e|^2), and D the
-    # coordinate-order sum of fl(fl(q_k - e_k)^2), so X = -fl(sqrt(D)).
-    # 1. Expansion rounding. -S is a dot product of length n of [q,
-    #    fl(|q|^2), 1] and [-2e, 1, fl(|e|^2)], within g(n) times the sum of
-    #    its terms' magnitudes, at most (2 + g(d)) * P, of its exact value;
-    #    each norm is within g(d) of exact. So -S is within 3.01 * g(n) * P
-    #    of |q - e|^2.
-    # 2. Rounding of the exact sum. D puts at most d + 1 roundings on each
-    #    term, so it is within g(n) * |q - e|^2 <= 2 * g(n) * P of |q - e|^2.
-    #    With 1., |S + D| <= 5.01 * g(n) * P <= 5.1 * n*u * P while n*u < 2**-20.
-    # 3. Rounding of the sqrt. Q = fl(X_t * X_t) is within 3.01u * D_t of
+    n = table.rows.shape[1]
+    # Why the bound holds. Let u = 2**-53, g(k) = k*u / (1 - k*u), X the exact
+    # score of pair_scores and X_t the target's, V the exact value of a
+    # query row [q, ...] times a candidate row, both without their last
+    # entry, V_t the target's, c = fl(V_t) in any order of summation, and P
+    # the plane value fl(V - c). A sum of k terms in any order, with or
+    # without fused multiply-adds, is within g(k) times the sum of its
+    # terms' magnitudes of its exact value (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., 3.1). The plane and c sum n terms each
+    # (c's last is 0 * 1) and the exact formula puts at most n roundings on
+    # each term, so g(n) covers each. P > B must mean X > X_t and P < -B
+    # mean X < X_t, so B must exceed every |P - (X - X_t)|.
+    # Dot-product kinds: w = n - 1 products q_k * e_k. With M = max_i |q_i|
+    # * max |e|, each of V and V_t is at most M, so |c| <= 1.01 * M, and:
+    # 1. the plane's rounding, the term -c * 1 being exact: |P - (V - c)|
+    #    <= g(n) * (M + |c|) <= 2.01 * g(n) * M;
+    # 2. the rounding of c: |c - V_t| <= g(n) * M;
+    # 3. the exact sums: X and X_t are each within g(n) * M of V and V_t
+    #    (ComplEx's exact sum pairs its products first).
+    # So |P - (X - X_t)| <= 5.01 * g(n) * M, and B = 2**-47 * n * M = 64u *
+    # n * M is more than ten times that.
+    # TransE: let P' = max_i fl(|q_i|^2) + max fl(|e|^2), E = |q - e|^2, E_t
+    # the target's, and D the coordinate-order sum of fl(fl(q_k - e_k)^2), so
+    # X = -fl(sqrt(D)). V sums 2 q_k e_k, -fl(|q|^2) and -fl(|e|^2), whose
+    # magnitudes add up to at most 2.01 * P', and each norm is within g(n)
+    # of exact, so |V + E| <= g(n) * P'. E is at most 2.01 * P', so |c| <=
+    # 2.02 * P'.
+    # 1. Plane rounding: |P - (V - c)| <= g(n) * (2.01 * P' + |c|).
+    # 2. Rounding of c: |c - V_t| <= 2.01 * g(n) * P'.
+    # 3. Rounding of the exact sum: D puts at most n roundings on each term,
+    #    so it is within g(n) * E <= 2.01 * g(n) * P' of E, and D_t of E_t.
+    #    With 1., 2. and |V + E|, |V_t + E_t| <= g(n) * P', P is within
+    #    g(n) * (10.1 * P' + |c|) <= 12.2 * n*u * P' of D_t - D while n*u <
+    #    2**-20.
+    # 4. Rounding of the sqrt. Q = fl(X_t * X_t) is within 3.01u * D_t of
     #    D_t. A candidate with D < Q * (1 - 3u) scores strictly above the
     #    target, one with D > Q * (1 + 5u) strictly below; in between, sqrt
-    #    can round distinct D to one score.
-    # The centre S_t is within 5.1 * n*u * P of -D_t, so with 1. to 3. the
-    # margin is 10.2 * n*u * P + 8.1u * D_t, and D_t <= |S_t| + 5.1 * n*u * P.
-    # B = 2**-47 * (n*P + |S_t|) = 64u * (n*P + |S_t|) is more than twice it.
+    #    can round distinct D to one score. This adds 8.1u * D_t <= 8.2u *
+    #    |c| + u * P'.
+    # So |P - (X - X_t)| <= 12.3 * n*u * P' + 8.2u * max |c|, and B = 2**-47
+    # * (n * P' + max |c|) = 64u * (n*P' + max |c|) is more than five times
+    # that; max |c| is the block's largest, so some rows' bands are wider
+    # than theirs needs.
     # Both kinds: where a value is subnormal, a rounding errs by up to
-    # 2**-1075 instead; far fewer than 2**40 roundings feed one value, so
-    # the smallest normal float, 2**-1022, added to B covers them. Every
-    # partial sum is at most 2.01 times the block's scale (P, or M) in
-    # magnitude, so nothing overflows where 4 * scale is finite, and the
-    # target's screened value is finite. Elsewhere every screened value of
-    # the block is set to NaN, and the band is every finite value.
+    # 2**-1075 instead; far fewer than 2**40 roundings feed one plane value,
+    # so the smallest normal float, 2**-1022, added to B covers them. B and
+    # the scale in it take a few roundings, well within the factor to spare,
+    # and B is finite: 2**-47 * n is formed first. Every partial sum of the
+    # plane or of c is at most 4.1 times the block's scale (P', or M) in
+    # magnitude, so nothing overflows where 8 * scale is finite, and with X
+    # = X_t above, a target's own plane value is within B of 0. Elsewhere
+    # every value of the block is NaN, and the band is every finite value.
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing block is handled below
         square_norms = np.einsum("ij,ij->i", q, q)
         top = square_norms.max(initial=0.0)
         if params.kind == "transe":
-            screened = np.column_stack([q, square_norms, np.ones(len(q))]) @ table.rows.T
             scale = top + table.max_square_norm
         else:
-            screened = q @ table.rows.T
             scale = math.sqrt(top) * math.sqrt(table.max_square_norm)
-    if not scale <= _MAX_FLOAT / 4:
-        screened[:] = np.nan
-        return screened, q, np.full(len(q), -_MAX_FLOAT), np.full(len(q), _MAX_FLOAT)
-    centre = screened[np.arange(len(q)), targets]
-    spread = np.abs(centre) if params.kind == "transe" else 0.0
-    bound = _SCREEN_ULPS * (n * scale + spread) + _TINY
-    return screened, q, centre - bound, centre + bound
+    if not scale <= _MAX_FLOAT / 8:
+        return np.full((len(q), len(table.rows)), np.nan), q, _MAX_FLOAT
+    extended = np.zeros((len(q), n))
+    extended[:, :q.shape[1]] = q
+    if params.kind == "transe":
+        extended[:, -3] = square_norms
+        extended[:, -2] = 1.0
+    target_values = np.einsum("ij,ij->i", extended, table.rows[targets])
+    extended[:, -1] = -target_values
+    plane = extended @ table.rows.T
+    spread = np.abs(target_values).max(initial=0.0) if params.kind == "transe" else 0.0
+    return plane, q, _SCREEN_ULPS * n * scale + _SCREEN_ULPS * spread + _TINY
 
 
 def _score_all(params: ModelParams, slot: str, a, b) -> np.ndarray:

@@ -21,7 +21,7 @@ from kgbench import (
     split_vocab,
     write_corrected,
 )
-from kgbench import evaluation
+from kgbench import evaluation, models
 from kgbench.evaluation import (
     OOV_POLICIES,
     EvaluationError,
@@ -54,6 +54,7 @@ SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "kgbench" / "schem
 TIES = ("mean", "optimistic", "pessimistic")
 DIRECTIONS = ("tail", "head", "relation")
 DOT_KINDS = ("rescal", "distmult", "complex")
+NEAR_TIE_DIMS = (1, 2, 3, 8, 16, 33)
 
 
 def test_single_candidate_ranks_first():
@@ -520,7 +521,7 @@ def test_evaluate_holds_one_block_of_scores_at_a_time(kind):
     ds = random_kg(np.random.default_rng(13), 2000, 20, n_train=3000, n_test=400)
     params = init_params(kind, 2000, 20, 16, seed=13)
     plane = evaluation.BLOCK_FLOATS * 8
-    table = screen_table(params, "t").rows.nbytes  # TransE's is a new array
+    table = screen_table(params, "t").rows.nbytes  # a new array for every kind
     linear = 64 * sum(len(ds.split(name)) for name in ("train", "valid", "test"))
     for policy in OOV_POLICIES:
         peak = _traced_peak(lambda: evaluate(params, ds, policy=policy))
@@ -675,12 +676,12 @@ def _assert_near_ties_rank_as_the_sorted_exact_scores(kind, dim):
             _assert_ranks_equal_sorted_exact_rows(params, ds, "test", reciprocal)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 33])
+@pytest.mark.parametrize("dim", NEAR_TIE_DIMS)
 def test_transe_near_ties_rank_as_the_sorted_exact_scores(dim):
     _assert_near_ties_rank_as_the_sorted_exact_scores("transe", dim)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 33])
+@pytest.mark.parametrize("dim", NEAR_TIE_DIMS)
 @pytest.mark.parametrize("kind", DOT_KINDS)
 def test_dot_product_near_ties_rank_as_the_sorted_exact_scores(kind, dim, monkeypatch):
     if kind == "rescal":
@@ -689,6 +690,47 @@ def test_dot_product_near_ties_rank_as_the_sorted_exact_scores(kind, dim, monkey
         # query per call: so do the ranked blocks here.
         monkeypatch.setattr(evaluation, "BLOCK_FLOATS", 1)
     _assert_near_ties_rank_as_the_sorted_exact_scores(kind, dim)
+
+
+@pytest.mark.parametrize("cut", [0.0, 1 / 1024])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_near_ties_mis_rank_when_the_screen_bound_is_cut(kind, cut, monkeypatch):
+    # The near-tie cases must catch a bound that is too tight: with the
+    # screen's constant cut to 0, or to 1/1024 of itself, some dimension's
+    # ranks differ from the sorted exact scores.
+    monkeypatch.setattr(models, "_SCREEN_ULPS", models._SCREEN_ULPS * cut)
+    if kind == "rescal":
+        monkeypatch.setattr(evaluation, "BLOCK_FLOATS", 1)  # as in the near-tie test
+    for dim in NEAR_TIE_DIMS:
+        try:
+            _assert_near_ties_rank_as_the_sorted_exact_scores(kind, dim)
+        except AssertionError:
+            return
+    pytest.fail(f"every near-tie case ranked right with the bound cut to {cut} of itself")
+
+
+@pytest.mark.parametrize("dim", NEAR_TIE_DIMS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_each_target_is_in_its_own_band_and_the_screen_orders_the_rest(kind, dim):
+    # _ranks counts a row whose band holds one cell as the target alone at
+    # its level, so the target's own plane value must be within the bound;
+    # and a cell beyond the bound must be ordered as the exact scores are.
+    rng = np.random.default_rng(dim)
+    n_e, n_r = 30, 5
+    cases = [init_params(kind, n_e, n_r, dim, seed=dim)]
+    cases += [_near_tie_params(rng, kind, dim, n_e, n_r, scale) for scale in (1e-3, 1.0, 1e3)]
+    for params in cases:
+        h, r, t = rng.integers(n_e, size=40), rng.integers(n_r, size=40), rng.integers(n_e, size=40)
+        for slot, score_all, a, b, targets in (("t", score_all_tails, h, r, t),
+                                               ("h", score_all_heads, r, t, h),
+                                               ("r", score_all_relations, h, t, r)):
+            plane, _, bound = screen(params, screen_table(params, slot), slot, a, b, targets)
+            rows = np.arange(len(targets))
+            assert (np.abs(plane[rows, targets]) <= bound).all(), (slot, bound)
+            exact = score_all(params, a, b)
+            target = exact[rows, targets][:, None]
+            assert (exact > target)[plane > bound].all(), slot
+            assert (exact < target)[plane < -bound].all(), slot
 
 
 def _assert_overflowing_screen_ranks_as_the_sorted_exact_scores(params, ds):
@@ -710,27 +752,49 @@ def test_transe_ranks_where_the_screen_overflows_equal_the_sorted_exact_scores()
     _assert_overflowing_screen_ranks_as_the_sorted_exact_scores(params, ds)
 
 
-@pytest.mark.parametrize("kind", DOT_KINDS)
-def test_dot_product_ranks_where_the_screen_overflows_equal_the_sorted_exact_scores(
-        kind, monkeypatch):
-    # Each product q_k * e_k is near 5e306, so |q| * max |e| is past a quarter
-    # of the largest float and the screen sends every row to the band, though
-    # every exact score is finite: those rows are re-scored exactly.
-    rng = np.random.default_rng(4)
-    ds = random_kg(rng, 10, 2, n_train=20, n_test=6)
+def _large_dot_params(kind, rng, ds, relation_scale, monkeypatch):
+    """Entity coordinates near +-1e153 and relation coordinates near
+    +-``relation_scale``, so every score is finite."""
     n_e, n_r = ds.vocab.n_entities, ds.vocab.n_relations
     entities = (rng.choice([-1.0, 1.0], size=(n_e, 16))
                 * (1e153 + rng.normal(scale=1e151, size=(n_e, 16))))
     if kind == "rescal":
         monkeypatch.setattr(evaluation, "BLOCK_FLOATS", 1)  # as in the near-tie test
-        relations = 5.0 * np.eye(16) + rng.normal(scale=1e-2, size=(n_r, 16, 16))
+        relations = relation_scale * np.eye(16) + rng.normal(scale=1e-2, size=(n_r, 16, 16))
     else:
-        relations = rng.choice([-1.0, 1.0], size=(n_r, 16)) * (5.0 + rng.normal(
-            scale=5e-2, size=(n_r, 16)))
-    params = ModelParams(kind, 8 if kind == "complex" else 16, entities, relations)
+        relations = rng.choice([-1.0, 1.0], size=(n_r, 16)) * (relation_scale + rng.normal(
+            scale=relation_scale / 100, size=(n_r, 16)))
+    return ModelParams(kind, 8 if kind == "complex" else 16, entities, relations)
+
+
+@pytest.mark.parametrize("kind", DOT_KINDS)
+def test_dot_product_ranks_where_the_screen_overflows_equal_the_sorted_exact_scores(
+        kind, monkeypatch):
+    # Each product q_k * e_k is near 5e306, so |q| * max |e| is past an eighth
+    # of the largest float and the screen sends every row to the band, though
+    # every exact score is finite: those rows are re-scored exactly.
+    rng = np.random.default_rng(4)
+    ds = random_kg(rng, 10, 2, n_train=20, n_test=6)
+    params = _large_dot_params(kind, rng, ds, 5.0, monkeypatch)
     h, r, t = ds.test.T
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(screen(params, screen_table(params, "t"), "t", h, r, t)[0]).all()
+    _assert_overflowing_screen_ranks_as_the_sorted_exact_scores(params, ds)
+
+
+@pytest.mark.parametrize("kind", DOT_KINDS)
+def test_dot_product_ranks_where_the_bound_nears_the_largest_float_equal_the_sorted_exact_scores(
+        kind, monkeypatch):
+    # |q| * max |e| is 1.3e307 to 1.8e307, below an eighth of the largest
+    # float, so the block is screened; but 17 times it is not finite.
+    # The bound must stay finite, or the -inf filtered columns fall in its
+    # band and are counted as candidates.
+    rng = np.random.default_rng(4)
+    ds = random_kg(rng, 10, 2, n_train=20, n_test=6)
+    params = _large_dot_params(kind, rng, ds, 0.8, monkeypatch)
+    h, r, t = ds.test.T
+    plane, _, bound = screen(params, screen_table(params, "t"), "t", h, r, t)
+    assert np.isfinite(plane).all() and np.isfinite(bound)
     _assert_overflowing_screen_ranks_as_the_sorted_exact_scores(params, ds)
 
 

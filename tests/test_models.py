@@ -155,15 +155,15 @@ def test_pair_scores_equal_score_all_bit_for_bit(kind, dim):
 
 
 def test_transe_screen_sends_rows_that_may_overflow_to_the_band():
-    # |q|^2 + max |e|^2 is past a quarter of the largest float, so some order of
+    # |q|^2 + max |e|^2 is past an eighth of the largest float, so some order of
     # summing the screen's product may overflow: the whole row is NaN, which is
-    # in the band, and lo stays finite so that -inf columns stay out of it
+    # in the band, and the bound stays finite so that -inf columns stay out of it
     entities = np.array([[0.9e154, 0.9e154], [0.9e154, 0.9e154], [1.0, 1.0]])
     p = ModelParams("transe", 2, entities, np.zeros((1, 2)))
     with np.errstate(over="ignore", invalid="ignore"):
-        screened, queries, lo, hi = screen(p, screen_table(p, "t"), "t", np.array([0, 2]),
-                                           np.array([0, 0]), np.array([1, 2]))
-    assert np.isnan(screened).all() and np.isfinite(lo).all() and np.isfinite(hi).all()
+        plane, queries, bound = screen(p, screen_table(p, "t"), "t", np.array([0, 2]),
+                                       np.array([0, 0]), np.array([1, 2]))
+    assert np.isnan(plane).all() and np.isfinite(bound)
     assert pair_scores(p, "t", queries, np.array([1, 2])).tolist() == [0.0, 0.0]
 
 
