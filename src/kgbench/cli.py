@@ -30,6 +30,7 @@ from .evaluation import evaluate, evaluate_relation_prediction
 from .ingest import DatasetLayout, load_dataset, write_corrected
 from .models import CheckpointError, load_checkpoint_for, save_checkpoint
 from .stats import (
+    ZERO_POLICIES,
     DegenerateSampleError,
     compare_pairs,
     delta_summary,
@@ -59,17 +60,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_data(args) -> Path:
-    if args.data:
-        return Path(args.data)
-    env = os.environ.get("KGBENCH_DATA")
-    if env:
-        return Path(env)
-    raise SystemExit(EXIT_USAGE)
-
-
 def _layout(args) -> DatasetLayout:
-    return DatasetLayout(dir=_resolve_data(args), separator=args.sep)
+    return DatasetLayout(dir=Path(args.data or os.environ["KGBENCH_DATA"]), separator=args.sep)
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -234,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "dataset,model,metric,original,corrected")
     group.add_argument("--a", help="report-set JSON {model: metrics report}")
     p.add_argument("--b", help="second report-set JSON (with --a, and only with it)")
-    p.add_argument("--zero-policy", choices=("discard", "pratt"), default="discard",
+    p.add_argument("--zero-policy", choices=ZERO_POLICIES, default="discard",
                    dest="zero_policy")
     p.add_argument("--json", help="write the comparison result here")
     p.set_defaults(func=cmd_compare)
@@ -248,7 +240,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.func is cmd_compare and (args.a is None) != (args.b is None):
             parser.error("--a and --b must be given together")
-        if getattr(args, "data", "skip") is None and not os.environ.get("KGBENCH_DATA"):
+        if not getattr(args, "data", "skip") and not os.environ.get("KGBENCH_DATA"):
             parser.error("--data not given and KGBENCH_DATA is not set")
         return args.func(args)
     except SystemExit as exc:

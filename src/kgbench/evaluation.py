@@ -269,16 +269,11 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
     return float(rank[0]), int(hits_rank[0])
 
 
-@dataclass(frozen=True)
-class _EvalSetup:
-    index: FilterIndex
-    triples: np.ndarray
-    entity_candidates: np.ndarray
-    relation_candidates: np.ndarray
-
-
-def _setup(params: ModelParams, dataset: SplitDataset, split: str, policy: str,
-           reciprocal: bool) -> _EvalSetup:
+def _rank_split(params: ModelParams, dataset: SplitDataset, split: str, policy: str,
+                directions: tuple[str, ...], tie: str,
+                reciprocal: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split's triples under ``policy``, and their MRR ranks and Hits ranks,
+    one column per direction."""
     if policy not in OOV_POLICIES:
         raise ValueError(f"unknown OOV policy {policy!r} (expected one of {OOV_POLICIES})")
     vocab = dataset.vocab
@@ -298,42 +293,34 @@ def _setup(params: ModelParams, dataset: SplitDataset, split: str, policy: str,
             triples = np.delete(triples, [line_no - 1 for line_no in removed], axis=0)
         ent_candidates, rel_candidates = split_vocab(dataset.train)
     else:
+        # Masks are sized to the parameter tables, so candidate arrays are
+        # explicit even under include (reciprocal checkpoints have extra rows).
         ent_candidates = np.arange(vocab.n_entities, dtype=np.int64)
         rel_candidates = np.arange(vocab.n_relations, dtype=np.int64)
     if not len(triples):
         raise EvaluationError(f"no {split} triples left to evaluate under policy {policy!r}")
-    # Masks are sized to the parameter tables, so candidate arrays are
-    # explicit even under include (reciprocal checkpoints have extra rows).
-    return _EvalSetup(index, triples, ent_candidates, rel_candidates)
-
-
-def _rank_split(params: ModelParams, setup: _EvalSetup, directions: tuple[str, ...],
-                tie: str, reciprocal: bool) -> tuple[np.ndarray, np.ndarray]:
-    """MRR ranks and Hits ranks of every split triple, one column per direction."""
     _check_tie(tie)
-    shape = (len(setup.triples), len(directions))
-    ranks = np.empty(shape)
-    hits_ranks = np.empty(shape, dtype=np.int64)
+    ranks = np.empty((len(triples), len(directions)))
+    hits_ranks = np.empty(ranks.shape, dtype=np.int64)
     tables = {}  # by the slot whose table it is: heads and tails share the entities'
     for j, direction in enumerate(directions):
         if direction == "relation":
-            slot, candidates = "r", setup.relation_candidates
+            slot, candidates = "r", rel_candidates
         else:
-            slot, candidates = "t", setup.entity_candidates
+            slot, candidates = "t", ent_candidates
         if slot not in tables:
             tables[slot] = screen_table(params, slot)
         ranks[:, j], hits_ranks[:, j] = _rank_direction(
-            params, tables[slot], setup.index, setup.triples, direction, tie, candidates,
-            reciprocal)
-    return ranks, hits_ranks
+            params, tables[slot], index, triples, direction, tie, candidates, reciprocal)
+    return triples, ranks, hits_ranks
 
 
-def _report(setup: _EvalSetup, ranks: np.ndarray, hits_ranks: np.ndarray, policy: str,
+def _report(triples: np.ndarray, ranks: np.ndarray, hits_ranks: np.ndarray, policy: str,
             direction: str, tie: str, reciprocal: bool) -> MetricsReport:
     """MRR, Hits@N and per-relation MRR; every slot of every triple weighs the same."""
     n, slots = ranks.shape
     rr = (1.0 / ranks).sum(axis=1)
-    rels = setup.triples[:, 1]
+    rels = triples[:, 1]
     rel_rr = np.bincount(rels, weights=rr)
     rel_n = np.bincount(rels)
     return MetricsReport(
@@ -359,9 +346,9 @@ def evaluate(params: ModelParams, dataset: SplitDataset, split: str = "test",
     Hits@N analogously. Under ``exclude`` the denominator shrinks to the
     OOV-free subset.
     """
-    setup = _setup(params, dataset, split, policy, reciprocal)
-    ranks, hits_ranks = _rank_split(params, setup, ("tail", "head"), tie, reciprocal)
-    return _report(setup, ranks, hits_ranks, policy, "entity", tie, reciprocal)
+    triples, ranks, hits_ranks = _rank_split(params, dataset, split, policy, ("tail", "head"),
+                                             tie, reciprocal)
+    return _report(triples, ranks, hits_ranks, policy, "entity", tie, reciprocal)
 
 
 def evaluate_relation_prediction(params: ModelParams, dataset: SplitDataset,
@@ -372,17 +359,16 @@ def evaluate_relation_prediction(params: ModelParams, dataset: SplitDataset,
     Single-slot ranking, so MRR/Hits@N use denominator |split| (no factor 2).
     Reciprocal-augmented checkpoints rank base relations only.
     """
-    setup = _setup(params, dataset, split, policy, reciprocal=False)
-    ranks, hits_ranks = _rank_split(params, setup, ("relation",), tie, False)
-    return _report(setup, ranks, hits_ranks, policy, "relation", tie, False)
+    triples, ranks, hits_ranks = _rank_split(params, dataset, split, policy, ("relation",),
+                                             tie, False)
+    return _report(triples, ranks, hits_ranks, policy, "relation", tie, False)
 
 
 def rank_records(params: ModelParams, dataset: SplitDataset, split: str = "test",
                  policy: str = "include", tie: str = "mean",
                  reciprocal: bool = False) -> list[RankRecord]:
     """Per-triple rank records (entity direction plus the relation slot)."""
-    setup = _setup(params, dataset, split, policy, reciprocal)
-    ranks, hits_ranks = _rank_split(params, setup, ("tail", "head", "relation"), tie,
-                                    reciprocal)
+    triples, ranks, hits_ranks = _rank_split(params, dataset, split, policy,
+                                             ("tail", "head", "relation"), tie, reciprocal)
     return [RankRecord(Triple._make(tr), *rank, *hits) for tr, rank, hits
-            in zip(setup.triples.tolist(), ranks.tolist(), hits_ranks.tolist())]
+            in zip(triples.tolist(), ranks.tolist(), hits_ranks.tolist())]

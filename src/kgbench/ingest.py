@@ -163,22 +163,19 @@ def write_corrected(dataset: SplitDataset, removal: OovReport, out_dir: Path,
     line subsequences of their originals. A JSON manifest records the tool
     version, input hashes and every removed triple, so corrected datasets
     are auditable artifacts. Returns a summary dict including the manifest.
+    Only a dataset loaded from files (with a ``source_dir``) can be corrected.
     """
+    if not dataset.source_dir:
+        raise DatasetError("dataset has no source directory; only loaded files can be corrected")
     out_dir = Path(out_dir)
-    src_dir = Path(dataset.source_dir) if dataset.source_dir else None
-    if src_dir is not None and out_dir.resolve() == src_dir.resolve():
+    src_dir = Path(dataset.source_dir)
+    if out_dir.resolve() == src_dir.resolve():
         raise FileExistsError("refusing to overwrite the input dataset in place")
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         raise FileExistsError(f"output directory {out_dir} is not empty (use force)")
 
-    sources: dict[str, bytes] = {}
-    for split in ("train", "valid", "test"):
-        if src_dir is not None:
-            sources[split] = (src_dir / f"{split}.txt").read_bytes()
-        else:
-            rows = [dataset.vocab.labels(tr) for tr in dataset.split(split).tolist()]
-            text = "".join("\t".join(row) + "\n" for row in rows)
-            sources[split] = text.encode("utf-8")
+    sources = {split: (src_dir / f"{split}.txt").read_bytes()
+               for split in ("train", "valid", "test")}
 
     counts_original = {s: len(dataset.split(s)) for s in ("train", "valid", "test")}
     counts_removed = {"train": 0}

@@ -445,12 +445,8 @@ def _score_all(params: ModelParams, slot: str, a, b) -> np.ndarray:
     scalar = np.ndim(a) == np.ndim(b) == 0
     a, b = id_arrays(params, **dict(zip([s for s in "hrt" if s != slot], (a, b))))
     q = _flat(_queries(params, slot, a, b))
-    table = _candidate_table(params, slot)
-    table_columns = np.empty((table.shape[1], len(table)))
-    for lo in range(0, len(table), 128):  # one transposing copy of a large table misses cache
-        table_columns[:, lo:lo + 128] = table[lo:lo + 128].T
     out = _exact_scores(params.kind, params.dim, np.ascontiguousarray(q.T)[:, :, None],
-                        table_columns)
+                        _candidate_table(params, slot).T)
     return out[0] if scalar else out
 
 

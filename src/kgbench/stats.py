@@ -5,19 +5,20 @@ significantly shifts the measured metrics: the pairs are (metric on the
 original dataset, same metric on its corrected version) across models.
 
 Differences of zero are discarded by default (classical treatment) or kept
-in the ranking via Pratt's method. Absolute differences are ranked with
-average ranks for ties. For small samples the two-sided p-value is exact,
-from the full distribution of the positive rank sum over all 2^n sign
-assignments (computed by convolution, which enumerates the same mass);
-larger samples use the normal approximation with tie and continuity
-corrections.
+in the ranking via Pratt's method. Either way the absolute differences are
+ranked in one pass, with average ranks for ties, and the ranks of zeros are
+then left out of W+ and W-. For small samples the two-sided p-value is
+exact, from the full distribution of the positive rank sum over all 2^n
+sign assignments (computed by convolution, which enumerates the same mass);
+larger samples use Pratt's normal approximation with tie and continuity
+corrections, of which ``discard`` is the case with no zeros.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -30,6 +31,9 @@ if TYPE_CHECKING:
 EXACT_CUTOFF = 20
 
 FIXTURE_METRICS = ("mrr", "hits@1", "hits@3", "hits@10")
+
+#: How zero differences are treated: dropped, or ranked then left out of W+/W- (Pratt).
+ZERO_POLICIES = ("discard", "pratt")
 
 
 class DegenerateSampleError(ValueError):
@@ -58,45 +62,26 @@ class TestResult:
     zero_policy: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_used": self.n_used,
-            "w_plus": self.w_plus,
-            "w_minus": self.w_minus,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "method": self.method,
-            "zero_policy": self.zero_policy,
-        }
+        return asdict(self)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        ranks[order[i:j + 1]] = avg
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((ends - counts + 1 + ends) / 2)[group]
 
 
 def _exact_two_sided_p(doubled_ranks: Sequence[int], doubled_w_plus: int) -> float:
     """Exact p from the distribution of W+ over all sign assignments.
 
     Ranks are doubled so average ranks (multiples of 0.5) become integers;
-    counts are exact Python ints.
+    counts are exact Python ints in an object array.
     """
-    total = sum(doubled_ranks)
-    counts = [0] * (total + 1)
+    counts = np.zeros(sum(doubled_ranks) + 1, dtype=object)
     counts[0] = 1
     for r2 in doubled_ranks:
-        for s in range(total - r2, -1, -1):
-            if counts[s]:
-                counts[s + r2] += counts[s]
+        counts[r2:] = counts[r2:] + counts[:-r2]
     n_assignments = 1 << len(doubled_ranks)
     cdf_le = sum(counts[: doubled_w_plus + 1])
     cdf_ge = sum(counts[doubled_w_plus:])
@@ -110,17 +95,12 @@ def _tie_term(ranks: np.ndarray) -> float:
     return float((reps ** 3 - reps).sum())
 
 
-def _normal_two_sided_p(w_plus: float, w_minus: float, n_nonzero: int,
-                        n_zero: int, nz_ranks: np.ndarray, zero_policy: str) -> float:
-    if zero_policy == "pratt":
-        n_all = n_nonzero + n_zero
-        mn = (n_all * (n_all + 1) - n_zero * (n_zero + 1)) / 4.0
-        var24 = (n_all * (n_all + 1) * (2 * n_all + 1)
-                 - n_zero * (n_zero + 1) * (2 * n_zero + 1))
-    else:
-        n = n_nonzero
-        mn = n * (n + 1) / 4.0
-        var24 = n * (n + 1) * (2 * n + 1)
+def _normal_two_sided_p(w_plus: float, w_minus: float, n_all: int, n_zero: int,
+                        nz_ranks: np.ndarray) -> float:
+    """Pratt's normal approximation: ``n_all`` ranked values, ``n_zero`` of them zeros."""
+    mn = (n_all * (n_all + 1) - n_zero * (n_zero + 1)) / 4.0
+    var24 = (n_all * (n_all + 1) * (2 * n_all + 1)
+             - n_zero * (n_zero + 1) * (2 * n_zero + 1))
     var24 -= 0.5 * _tie_term(nz_ranks)
     se = math.sqrt(var24 / 24.0)
     if se == 0.0:
@@ -138,22 +118,17 @@ def wilcoxon_signed_rank(samples: Sequence[PairedSample],
     Exact enumeration for n_used <= ``EXACT_CUTOFF`` nonzero differences,
     normal approximation (tie + continuity corrected) above.
     """
-    if zero_policy not in ("discard", "pratt"):
+    if zero_policy not in ZERO_POLICIES:
         raise ValueError(f"unknown zero policy {zero_policy!r}")
     diffs = np.array([s.delta for s in samples], dtype=float)
     if len(diffs) == 0 or not np.isfinite(diffs).all():
         raise ValueError("samples must be non-empty with finite values")
     nonzero = diffs != 0.0
-    n_zero = int(np.count_nonzero(~nonzero))
     if not nonzero.any():
         raise DegenerateSampleError("degenerate sample: all paired differences are zero")
-    if zero_policy == "discard":
-        d = diffs[nonzero]
-        nz_ranks = _average_ranks(np.abs(d))
-    else:
-        all_ranks = _average_ranks(np.abs(diffs))
-        d = diffs[nonzero]
-        nz_ranks = all_ranks[nonzero]
+    ranked = diffs if zero_policy == "pratt" else diffs[nonzero]
+    nz_ranks = _average_ranks(np.abs(ranked))[ranked != 0.0]
+    d = ranked[ranked != 0.0]
     w_plus = float(nz_ranks[d > 0].sum())
     w_minus = float(nz_ranks[d < 0].sum())
     n_used = len(d)
@@ -163,7 +138,7 @@ def wilcoxon_signed_rank(samples: Sequence[PairedSample],
         p = _exact_two_sided_p(doubled, int(round(2.0 * w_plus)))
     else:
         method = "normal-approximation"
-        p = _normal_two_sided_p(w_plus, w_minus, n_used, n_zero, nz_ranks, zero_policy)
+        p = _normal_two_sided_p(w_plus, w_minus, len(ranked), len(ranked) - n_used, nz_ranks)
     return TestResult(
         n_used=n_used,
         w_plus=w_plus,

@@ -100,6 +100,7 @@ def test_audit_missing_file_exit_66(tmp_path, capsys):
 
 def test_usage_errors_exit_64(capsys):
     assert main(["audit"]) == 64  # no --data, no KGBENCH_DATA
+    assert main(["audit", "--data", ""]) == 64
     assert main(["audit", "--bogus-flag"]) == 64
     assert main(["no-such-command"]) == 64
 
@@ -151,6 +152,35 @@ def test_train_eval_pipeline(clean_dir, tmp_path, capsys):
     schema = json.loads((SCHEMA_DIR / "metrics_report.schema.json").read_text())
     jsonschema.validate(payload, schema)
     assert payload["policy"] == "include" and payload["direction"] == "entity"
+
+
+def test_eval_relation_direction(clean_dir, tmp_path):
+    ckpt = tmp_path / "model.npz"
+    assert _train(clean_dir, ckpt, tmp_path) == 0
+    report_path = tmp_path / "relation.json"
+    assert main(["eval", "--data", str(clean_dir), "--checkpoint", str(ckpt),
+                 "--direction", "relation", "--json", str(report_path)]) == 0
+    payload = json.loads(report_path.read_text())
+    jsonschema.validate(payload, json.loads((SCHEMA_DIR / "metrics_report.schema.json")
+                                            .read_text()))
+    # one relation: it is the only candidate, so it ranks first
+    assert payload["direction"] == "relation" and payload["mrr"] == 1.0
+    assert payload["n_triples"] == 1
+
+
+def test_train_config_file_with_a_flag_override(clean_dir, tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("model = distmult\ndim = 4\nepochs = 5  # the flag wins\n"
+                      "batch_size = 4\nseed = 7\n")
+    from_config = tmp_path / "config.npz"
+    assert main(["train", "--data", str(clean_dir), "--config", str(config),
+                 "--epochs", "2", "--out", str(from_config)]) == 0
+    assert "for 2 epochs" in capsys.readouterr().out
+    from_flags = tmp_path / "flags.npz"
+    assert _train(clean_dir, from_flags, tmp_path) == 0
+    with np.load(from_config) as a, np.load(from_flags) as b:
+        for table in ("entities", "relations"):
+            assert np.array_equal(a[table], b[table])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -830,6 +830,15 @@ def test_filtered_rank_pair_refuses_ids_outside_the_tables():
                 filtered_rank_pair(params, idx, *triple, direction)
 
 
+def test_filtered_rank_pair_refuses_a_target_outside_the_candidates():
+    ds = make_dataset([("a", "p", "b"), ("b", "p", "c")], [], [])
+    params = init_params("distmult", 3, 1, 3, seed=0)
+    a, b, c = (ds.vocab.entity_id(x) for x in "abc")
+    with pytest.raises(EvaluationError, match=f"target id {b} is not in the candidate set"):
+        filtered_rank_pair(params, filter_index_build(ds), a, 0, b, "tail",
+                           candidates=np.array([a, c]))
+
+
 def test_exclude_with_everything_oov_errors():
     ds = make_dataset([("a", "p", "b")], [("x", "p", "y")], [("z", "p", "a")])
     params = init_params("distmult", ds.vocab.n_entities, 1, 3, seed=0)
@@ -842,6 +851,12 @@ def test_params_must_cover_vocabulary():
     small = init_params("distmult", 2, 1, 3, seed=0)  # 2 < 3 entities
     with pytest.raises(EvaluationError, match="cover"):
         evaluate(small, ds, split="test")
+    one_relation = init_params("distmult", 3, 1, 3, seed=0)
+    two_relations = make_dataset([("a", "p", "b"), ("b", "q", "c")], [], [("a", "p", "c")])
+    with pytest.raises(EvaluationError, match="relation vocabulary"):
+        evaluate(one_relation, two_relations, split="test")
+    with pytest.raises(EvaluationError, match="relation vocabulary"):
+        evaluate(one_relation, ds, split="test", reciprocal=True)  # 2 rows per relation
 
 
 def test_report_json_matches_schema():

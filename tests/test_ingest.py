@@ -295,6 +295,16 @@ def test_write_corrected_refuses_nonempty_out_dir(tmp_path):
     write_corrected(ds, detect_oov(ds), out, force=True)  # force allows it
 
 
+def test_write_corrected_refuses_a_dataset_not_loaded_from_files(tmp_path):
+    d = _toy_files(tmp_path)
+    ds = load_dataset(DatasetLayout(dir=d))
+    built = SplitDataset(ds.vocab, ds.train, ds.valid, ds.test)  # no source_dir
+    out = tmp_path / "out"
+    with pytest.raises(DatasetError, match="source directory"):
+        write_corrected(built, detect_oov(built), out)
+    assert not out.exists()
+
+
 def test_write_corrected_refuses_in_place(tmp_path):
     d = _toy_files(tmp_path)
     ds = load_dataset(DatasetLayout(dir=d))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -139,6 +141,24 @@ def test_matches_scipy_pratt():
     ref = sps.wilcoxon(d, zero_method="pratt", alternative="two-sided",
                        method="approx", correction=True)
     assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [12, 40])  # either side of EXACT_CUTOFF
+def test_discard_and_pratt_agree_bit_for_bit_without_zeros(n):
+    # discard is Pratt's treatment of a sample that has no zeros
+    rng = np.random.default_rng(n)
+    for d in (rng.integers(1, 5, n) * rng.choice([-1, 1], n), rng.normal(size=n)):
+        discard = wilcoxon_signed_rank(mk(d))
+        pratt = wilcoxon_signed_rank(mk(d), zero_policy="pratt")
+        exact = n <= stats.EXACT_CUTOFF
+        assert discard.method == ("exact-enumeration" if exact else "normal-approximation")
+        assert dataclasses.replace(pratt, zero_policy="discard") == discard
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=30))
+def test_average_ranks_equal_scipy_rankdata(values):
+    v = np.array(values, dtype=float) / 4
+    assert stats._average_ranks(v).tolist() == sps.rankdata(v).tolist()
 
 
 def test_fixture_pairs_reject_null_at_published_thresholds():
