@@ -48,6 +48,8 @@ def main() -> int:
     if not args.root:
         parser.error("--root not given and KGBENCH_DATA is not set")
     root = Path(args.root)
+    if not root.is_dir():
+        parser.error(f"--root {root} is not a directory")
     candidates = sorted(d for d in root.iterdir()
                         if d.is_dir() and (d / "train.txt").is_file())
     if not candidates:

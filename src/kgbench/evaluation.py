@@ -35,15 +35,27 @@ the rows where it holds more than the target. So ranks are those of the
 exact scores. ``BLOCK_FLOATS`` bounds a block's size, and a block's scores
 live only while it is ranked. ``filtered_rank_pair`` ranks a split of one
 query.
+
+What ranking derives from the dataset alone is built once per dataset, on
+the first call that needs it, and reused by every later ``evaluate``,
+``evaluate_relation_prediction`` and ``rank_records`` call on it: the
+``FilterIndex`` and, on the first ``exclude`` call, each evaluation split's
+rows that ``detect_oov`` leaves and the train split's entity and relation
+ids. A ``SplitDataset`` is frozen, its arrays are read-only and it compares
+by identity, so the dataset object fixes what it holds. The set-up is kept in a dictionary keyed weakly by the
+dataset: it lives as long as the dataset and is freed with it. Most of it
+is the index's three int64 key arrays, 24 bytes per triple (about 26 MB
+for YAGO3-10's 1.09M triples).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import detect_oov
+from .audit import EVAL_SPLITS, detect_oov
 from .core import FilterIndex, SplitDataset, Triple, filter_index_build, split_vocab
 from .models import ModelParams, ScreenTable, id_arrays, pair_scores, screen, screen_table
 # Not called here: perfbench's tracer times these names in this module.
@@ -269,6 +281,42 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
     return float(rank[0]), int(hits_rank[0])
 
 
+@dataclass
+class _Setup:
+    """A dataset's ranking set-up: its filter index and, once an ``exclude``
+    call has needed them, the evaluation splits' rows kept under ``exclude``
+    and the train split's entity and relation ids."""
+
+    index: FilterIndex
+    kept: dict[str, np.ndarray] | None = None
+    train_ids: tuple[np.ndarray, np.ndarray] | None = None
+
+
+#: Each dataset's ``_Setup``; an entry goes when its dataset does.
+_SETUPS: weakref.WeakKeyDictionary[SplitDataset, _Setup] = weakref.WeakKeyDictionary()
+
+
+def _setup(dataset: SplitDataset, policy: str) -> _Setup:
+    """The dataset's set-up, with the parts ``policy`` needs built.
+
+    ``filter_index_build`` and ``detect_oov`` are called by their names in
+    this module, where perfbench's tracer wraps them, so it counts each build.
+    """
+    setup = _SETUPS.get(dataset)
+    if setup is None:
+        setup = _SETUPS[dataset] = _Setup(filter_index_build(dataset))
+    if policy == "exclude" and setup.kept is None:
+        oov = detect_oov(dataset)
+        kept = {split: np.delete(dataset.split(split),
+                                 [line_no - 1 for line_no in oov.removed_line_numbers(split)],
+                                 axis=0) for split in EVAL_SPLITS}
+        train_ids = split_vocab(dataset.train)
+        for array in (*kept.values(), *train_ids):
+            array.flags.writeable = False
+        setup.kept, setup.train_ids = kept, train_ids
+    return setup
+
+
 def _rank_split(params: ModelParams, dataset: SplitDataset, split: str, policy: str,
                 directions: tuple[str, ...], tie: str,
                 reciprocal: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -285,13 +333,11 @@ def _rank_split(params: ModelParams, dataset: SplitDataset, split: str, policy: 
     if not (np.isfinite(params.entities).all() and np.isfinite(params.relations).all()):
         raise EvaluationError("parameter tables contain non-finite values")
 
-    index = filter_index_build(dataset)
     triples = dataset.split(split)
+    setup = _setup(dataset, policy)
     if policy == "exclude":
-        if split in ("valid", "test"):
-            removed = detect_oov(dataset).removed_line_numbers(split)
-            triples = np.delete(triples, [line_no - 1 for line_no in removed], axis=0)
-        ent_candidates, rel_candidates = split_vocab(dataset.train)
+        triples = setup.kept.get(split, triples)
+        ent_candidates, rel_candidates = setup.train_ids
     else:
         # Masks are sized to the parameter tables, so candidate arrays are
         # explicit even under include (reciprocal checkpoints have extra rows).
@@ -311,7 +357,7 @@ def _rank_split(params: ModelParams, dataset: SplitDataset, split: str, policy: 
         if slot not in tables:
             tables[slot] = screen_table(params, slot)
         ranks[:, j], hits_ranks[:, j] = _rank_direction(
-            params, tables[slot], index, triples, direction, tie, candidates, reciprocal)
+            params, tables[slot], setup.index, triples, direction, tie, candidates, reciprocal)
     return triples, ranks, hits_ranks
 
 

@@ -30,8 +30,6 @@ if TYPE_CHECKING:
 #: Largest n for which the exact distribution is enumerated (2^20 ~ 1e6).
 EXACT_CUTOFF = 20
 
-FIXTURE_METRICS = ("mrr", "hits@1", "hits@3", "hits@10")
-
 #: How zero differences are treated: dropped, or ranked then left out of W+/W- (Pratt).
 ZERO_POLICIES = ("discard", "pratt")
 

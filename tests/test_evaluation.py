@@ -1,6 +1,8 @@
+import gc
 import json
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from kgbench import (
     FilterIndex,
     ModelParams,
+    SplitDataset,
     Triple,
     detect_oov,
     evaluate,
@@ -501,6 +504,84 @@ def test_each_ranked_direction_makes_one_filter_lookup(policy, monkeypatch):
         calls.clear()
         records = rank_records(params, ds, policy=policy)
         assert calls == [len(records)] * 3, floats
+
+
+def _ranking_calls(policies, splits=("valid", "test")):
+    """(function, policy, split) of every ranking call a dataset's set-up serves."""
+    return [(fn, policy, split) for policy in policies for split in splits
+            for fn in (evaluate, evaluate_relation_prediction, rank_records)]
+
+
+def _rank(params, ds, call):
+    fn, policy, split = call
+    return fn(params, ds, split=split, policy=policy)
+
+
+def test_ranking_set_up_is_built_once_per_dataset(tmp_path, monkeypatch):
+    builds = {"filter_index_build": [], "detect_oov": []}
+    for name, datasets in builds.items():
+        def counting(dataset, build=getattr(evaluation, name), datasets=datasets):
+            datasets.append(dataset)
+            return build(dataset)
+        monkeypatch.setattr(evaluation, name, counting)
+    raw_dir = _oov_files(tmp_path)
+    first, second = (load_dataset(DatasetLayout(dir=raw_dir)) for _ in range(2))
+    params = init_params("distmult", first.vocab.n_entities, first.vocab.n_relations, 3, seed=8)
+    for ds in (first, second):
+        for call in _ranking_calls(("include",)):
+            _rank(params, ds, call)
+    # include needs no OOV report
+    assert builds == {"filter_index_build": [first, second], "detect_oov": []}
+    for call in _ranking_calls(OOV_POLICIES) * 2:
+        for ds in (first, second):
+            _rank(params, ds, call)
+    assert builds == {"filter_index_build": [first, second], "detect_oov": [first, second]}
+
+
+@pytest.mark.parametrize("policies", [OOV_POLICIES, OOV_POLICIES[::-1]])
+def test_reports_from_a_reused_set_up_equal_those_from_a_fresh_load(tmp_path, policies):
+    layout = DatasetLayout(dir=_oov_files(tmp_path))
+    ds = load_dataset(layout)
+    params = init_params("transe", ds.vocab.n_entities, ds.vocab.n_relations, 3, seed=9)
+    calls = _ranking_calls(policies)
+    for call in calls + calls[::-1]:
+        assert _rank(params, ds, call) == _rank(params, load_dataset(layout), call), call
+
+
+def test_interleaved_datasets_each_rank_with_their_own_set_up(tmp_path):
+    raw_layout = DatasetLayout(dir=_oov_files(tmp_path))
+    raw = load_dataset(raw_layout)
+    write_corrected(raw, detect_oov(raw), tmp_path / "corrected")
+    corrected_layout = DatasetLayout(dir=tmp_path / "corrected")
+    corrected = load_dataset(corrected_layout)
+    params = init_params("complex", raw.vocab.n_entities, raw.vocab.n_relations, 3, seed=10)
+    params_corr = align_params_to_vocab(params, list(raw.vocab.entities),
+                                        list(raw.vocab.relations), corrected.vocab, False)
+    assert len(corrected.test) < len(raw.test)
+    for call in _ranking_calls(OOV_POLICIES):
+        for ds, layout, p in ((raw, raw_layout, params), (corrected, corrected_layout, params_corr)):
+            assert _rank(p, ds, call) == _rank(p, load_dataset(layout), call), (layout, call)
+
+    # one vocabulary and train split, two test splits (the second holds both OOV triples)
+    base = _oov_kg(70)
+    parts = (base.test[:6], base.test[6:])
+    same_vocab = [SplitDataset(base.vocab, base.train, base.valid, test) for test in parts]
+    params = init_params("rescal", base.vocab.n_entities, base.vocab.n_relations, 3, seed=11)
+    for call in _ranking_calls(OOV_POLICIES, ("test",)):  # the valid split is empty
+        for ds, test in zip(same_vocab, parts):
+            fresh = SplitDataset(base.vocab, base.train, base.valid, test)
+            assert _rank(params, ds, call) == _rank(params, fresh, call), call
+
+
+def test_a_ranked_dataset_is_freed_with_its_set_up():
+    ds = _oov_kg(71)
+    params = init_params("distmult", ds.vocab.n_entities, ds.vocab.n_relations, 3, seed=12)
+    for policy in OOV_POLICIES:
+        rank_records(params, ds, policy=policy)
+    dataset, index = weakref.ref(ds), weakref.ref(evaluation._SETUPS[ds].index)
+    del ds
+    gc.collect()
+    assert dataset() is None and index() is None
 
 
 def _traced_peak(call):

@@ -40,3 +40,8 @@ def test_audit_benchmarks_exit_codes(tmp_path):
     proc = _run("audit_benchmarks.py", "--root", str(tmp_path / "empty"), "--out", str(out))
     assert proc.returncode == 1
     assert "no datasets found" in proc.stderr
+    for root in (tmp_path / "missing", tmp_path / "clean" / "TOY" / "train.txt"):
+        proc = _run("audit_benchmarks.py", "--root", str(root), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert f"--root {root} is not a directory" in proc.stderr
+        assert "Traceback" not in proc.stderr
