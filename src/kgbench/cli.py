@@ -10,9 +10,10 @@ Exit codes are stable so the tool can gate CI pipelines:
   invalid training settings, a training loss that goes non-finite)
 * 66 missing input file
 * 73 refusing to (over)write the output directory
-* 74 I/O or checkpoint error (including vocabulary-hash mismatch, and
-  metadata that is not a JSON object with the expected fields, or whose
-  kind and dim do not fit the table shapes)
+* 74 I/O or checkpoint error (including a checkpoint that does not cover
+  the dataset's vocabulary, metadata that is not a JSON object with the
+  expected fields, or whose kind and dim do not fit the table shapes, and
+  label tables that are not one distinct label per row)
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from pathlib import Path
 
 from . import reporting
 from .audit import detect_oov, overview_report
-from .core import DatasetError
-from .evaluation import evaluate, evaluate_relation_prediction
+from .core import SPLIT_NAMES, DatasetError
+from .evaluation import OOV_POLICIES, evaluate, evaluate_relation_prediction
 from .ingest import DatasetLayout, load_dataset, write_corrected
-from .models import CheckpointError, load_checkpoint_for, save_checkpoint
+from .models import MODEL_KINDS, CheckpointError, load_checkpoint_for, save_checkpoint
 from .stats import (
     ZERO_POLICIES,
     DegenerateSampleError,
@@ -37,7 +38,7 @@ from .stats import (
     load_fixture_pairs,
     pairs_from_reports,
 )
-from .training import TrainConfig, TrainingError, train, write_loss_csv
+from .training import LOSSES, OPTIMIZERS, TrainConfig, TrainingError, train, write_loss_csv
 from .version import __version__
 
 EXIT_OK = 0
@@ -106,8 +107,7 @@ def cmd_train(args) -> int:
         config = TrainConfig(**{k: v for k, v in overrides.items() if v is not None})
     dataset = load_dataset(_layout(args))
     result = train(dataset, config)
-    save_checkpoint(result.params, Path(args.out), dataset.vocab,
-                    reciprocal=result.reciprocal)
+    save_checkpoint(result.params, Path(args.out), dataset.vocab)
     if args.loss_csv:
         write_loss_csv(Path(args.loss_csv), result.epoch_losses)
     print(f"trained {config.model} d={config.dim} for {config.epochs} epochs "
@@ -121,8 +121,7 @@ def cmd_eval(args) -> int:
     params, meta = load_checkpoint_for(Path(args.checkpoint), dataset.vocab)
     tie = TIE_ALIASES[args.tie]
     if args.direction == "entity":
-        report = evaluate(params, dataset, split=args.split, policy=args.oov_policy,
-                          tie=tie, reciprocal=bool(meta.get("reciprocal")))
+        report = evaluate(params, dataset, split=args.split, policy=args.oov_policy, tie=tie)
     else:
         report = evaluate_relation_prediction(params, dataset, split=args.split,
                                               policy=args.oov_policy, tie=tie)
@@ -191,15 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train an embedding model on the train split")
     _add_data_flags(p)
     p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--model", choices=("rescal", "transe", "distmult", "complex"))
+    p.add_argument("--model", choices=MODEL_KINDS)
     p.add_argument("--dim", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--lr", type=float)
     p.add_argument("--negatives", type=int)
-    p.add_argument("--loss", choices=("logistic", "margin"))
+    p.add_argument("--loss", choices=LOSSES)
     p.add_argument("--margin", type=float)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
+    p.add_argument("--optimizer", choices=OPTIMIZERS)
     p.add_argument("--reciprocal", action="store_true", default=None,
                    help="add inverse relations and reciprocal triples")
     p.add_argument("--seed", type=int)
@@ -210,9 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="filtered link/relation prediction metrics")
     _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=("train", "valid", "test"), default="test")
-    p.add_argument("--oov-policy", choices=("include", "exclude"), default="include",
-                   dest="oov_policy")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
+    p.add_argument("--oov-policy", choices=OOV_POLICIES, default="include", dest="oov_policy")
     p.add_argument("--direction", choices=("entity", "relation"), default="entity")
     p.add_argument("--tie", choices=("mean", "opt", "pess"), default="mean")
     p.add_argument("--json", help="write the metrics report here")

@@ -34,7 +34,8 @@ included) is re-scored with ``pair_scores``, each kind's exact formula, in
 the rows where it holds more than the target. So ranks are those of the
 exact scores. ``BLOCK_FLOATS`` bounds a block's size, and a block's scores
 live only while it is ranked. ``filtered_rank_pair`` ranks a split of one
-query.
+query. A model whose ``ModelParams.reciprocal`` is set ranks each head as
+the tail of the inverse relation.
 
 What ranking derives from the dataset alone is built once per dataset, on
 the first call that needs it, and reused by every later ``evaluate``,
@@ -126,6 +127,11 @@ def _check_tie(tie: str) -> None:
         raise ValueError(f"unknown tie policy {tie!r} (expected one of {TIE_POLICIES})")
 
 
+def _check_params_finite(params: ModelParams) -> None:
+    if not (np.isfinite(params.entities).all() and np.isfinite(params.relations).all()):
+        raise EvaluationError("parameter tables contain non-finite values")
+
+
 def _check_finite(target_scores: np.ndarray) -> None:
     if not np.isfinite(target_scores).all():
         bad = target_scores[~np.isfinite(target_scores)][0]
@@ -203,8 +209,7 @@ def _rank_block(params: ModelParams, table: ScreenTable, slot: str, a: np.ndarra
 
 def _rank_direction(params: ModelParams, table: ScreenTable, index: FilterIndex,
                     triples: np.ndarray, direction: str, tie: str,
-                    candidates: np.ndarray | None,
-                    reciprocal: bool) -> tuple[np.ndarray, np.ndarray]:
+                    candidates: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Filtered (MRR ranks, Hits ranks) of one slot of each row of ``triples``.
 
     Once for all rows: one ``FilterIndex.runs`` lookup of every row's
@@ -220,7 +225,7 @@ def _rank_direction(params: ModelParams, table: ScreenTable, index: FilterIndex,
         slot, a, b = "t", h, r
         keys, fixed, targets = index.triples, (h, r), t
     elif direction == "head":
-        slot, a, b = ("t", t, _inverse_relations(params, r)) if reciprocal else ("h", r, t)
+        slot, a, b = ("t", t, _inverse_relations(params, r)) if params.reciprocal else ("h", r, t)
         keys, fixed, targets = index.by_rt, (r, t), h
     elif direction == "relation":
         slot, a, b = "r", h, t
@@ -261,8 +266,7 @@ def _rank_direction(params: ModelParams, table: ScreenTable, index: FilterIndex,
 
 def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, t: int,
                        direction: str = "tail", tie: str = "mean",
-                       candidates: np.ndarray | None = None,
-                       reciprocal: bool = False) -> tuple[float, int]:
+                       candidates: np.ndarray | None = None) -> tuple[float, int]:
     """Filtered (MRR rank, Hits@N rank) of one slot of a known-true triple.
 
     Candidates whose substituted triple occurs anywhere in the index are
@@ -270,14 +274,16 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
     restricts the candidate ids (used by the exclude policy and by
     reciprocal checkpoints whose parameter tables exceed the vocabulary).
     This is the ranker of ``evaluate`` applied to a split of one query. Ids
-    outside the parameter tables raise ``IndexError``.
+    outside the parameter tables raise ``IndexError``; non-finite parameters
+    are refused, as by ``evaluate``.
     """
     _check_tie(tie)
     triple = np.array([[h, r, t]], dtype=np.int64)
     id_arrays(params, h=triple[:, 0], r=triple[:, 1], t=triple[:, 2])
+    _check_params_finite(params)
     table = screen_table(params, "r" if direction == "relation" else "t")
     rank, hits_rank = _rank_direction(params, table, index, triple, direction, tie,
-                                      candidates, reciprocal)
+                                      candidates)
     return float(rank[0]), int(hits_rank[0])
 
 
@@ -318,8 +324,7 @@ def _setup(dataset: SplitDataset, policy: str) -> _Setup:
 
 
 def _rank_split(params: ModelParams, dataset: SplitDataset, split: str, policy: str,
-                directions: tuple[str, ...], tie: str,
-                reciprocal: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                directions: tuple[str, ...], tie: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The split's triples under ``policy``, and their MRR ranks and Hits ranks,
     one column per direction."""
     if policy not in OOV_POLICIES:
@@ -327,11 +332,10 @@ def _rank_split(params: ModelParams, dataset: SplitDataset, split: str, policy: 
     vocab = dataset.vocab
     if params.n_entities < vocab.n_entities:
         raise EvaluationError("params do not cover the dataset's entity vocabulary")
-    needed_rel = 2 * vocab.n_relations if reciprocal else vocab.n_relations
+    needed_rel = 2 * vocab.n_relations if params.reciprocal else vocab.n_relations
     if params.n_relations < needed_rel:
         raise EvaluationError("params do not cover the dataset's relation vocabulary")
-    if not (np.isfinite(params.entities).all() and np.isfinite(params.relations).all()):
-        raise EvaluationError("parameter tables contain non-finite values")
+    _check_params_finite(params)
 
     triples = dataset.split(split)
     setup = _setup(dataset, policy)
@@ -357,7 +361,7 @@ def _rank_split(params: ModelParams, dataset: SplitDataset, split: str, policy: 
         if slot not in tables:
             tables[slot] = screen_table(params, slot)
         ranks[:, j], hits_ranks[:, j] = _rank_direction(
-            params, tables[slot], setup.index, triples, direction, tie, candidates, reciprocal)
+            params, tables[slot], setup.index, triples, direction, tie, candidates)
     return triples, ranks, hits_ranks
 
 
@@ -384,17 +388,15 @@ def _report(triples: np.ndarray, ranks: np.ndarray, hits_ranks: np.ndarray, poli
 
 
 def evaluate(params: ModelParams, dataset: SplitDataset, split: str = "test",
-             policy: str = "include", tie: str = "mean",
-             reciprocal: bool = False) -> MetricsReport:
+             policy: str = "include", tie: str = "mean") -> MetricsReport:
     """Entity-direction link prediction metrics over one split.
 
     MRR averages reciprocal tail and head ranks with denominator 2|split|;
     Hits@N analogously. Under ``exclude`` the denominator shrinks to the
-    OOV-free subset.
+    OOV-free subset. The report records ``params.reciprocal``.
     """
-    triples, ranks, hits_ranks = _rank_split(params, dataset, split, policy, ("tail", "head"),
-                                             tie, reciprocal)
-    return _report(triples, ranks, hits_ranks, policy, "entity", tie, reciprocal)
+    triples, ranks, hits_ranks = _rank_split(params, dataset, split, policy, ("tail", "head"), tie)
+    return _report(triples, ranks, hits_ranks, policy, "entity", tie, params.reciprocal)
 
 
 def evaluate_relation_prediction(params: ModelParams, dataset: SplitDataset,
@@ -403,18 +405,17 @@ def evaluate_relation_prediction(params: ModelParams, dataset: SplitDataset,
     """Relation-direction metrics: rank the missing relation of (h, ?, t).
 
     Single-slot ranking, so MRR/Hits@N use denominator |split| (no factor 2).
-    Reciprocal-augmented checkpoints rank base relations only.
+    Reciprocal models rank base relations only, and the report records
+    ``reciprocal`` false.
     """
-    triples, ranks, hits_ranks = _rank_split(params, dataset, split, policy, ("relation",),
-                                             tie, False)
+    triples, ranks, hits_ranks = _rank_split(params, dataset, split, policy, ("relation",), tie)
     return _report(triples, ranks, hits_ranks, policy, "relation", tie, False)
 
 
 def rank_records(params: ModelParams, dataset: SplitDataset, split: str = "test",
-                 policy: str = "include", tie: str = "mean",
-                 reciprocal: bool = False) -> list[RankRecord]:
+                 policy: str = "include", tie: str = "mean") -> list[RankRecord]:
     """Per-triple rank records (entity direction plus the relation slot)."""
     triples, ranks, hits_ranks = _rank_split(params, dataset, split, policy,
-                                             ("tail", "head", "relation"), tie, reciprocal)
+                                             ("tail", "head", "relation"), tie)
     return [RankRecord(Triple._make(tr), *rank, *hits) for tr, rank, hits
             in zip(triples.tolist(), ranks.tolist(), hits_ranks.tolist())]

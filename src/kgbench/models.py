@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,12 +78,16 @@ class ModelParams:
     ``entities`` is |E| x d (|E| x 2d for complex); ``relations`` is
     |R| x d for transe/distmult, |R| x 2d for complex, |R| x d x d for
     rescal. Arrays are float64 and mutated in place by training only.
+    ``reciprocal`` models were trained with inverse relations: relation
+    ``r``'s inverse is row ``n_relations // 2 + r``, and a head is ranked as
+    the tail of the inverse relation.
     """
 
     kind: str
     dim: int
     entities: np.ndarray = field(repr=False)
     relations: np.ndarray = field(repr=False)
+    reciprocal: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
@@ -106,7 +110,7 @@ class ModelParams:
         return self.relations.shape[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.kind, self.dim, self.entities.copy(), self.relations.copy())
+        return replace(self, entities=self.entities.copy(), relations=self.relations.copy())
 
 
 def _row_shapes(kind: str, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -540,13 +544,12 @@ def grad(params: ModelParams, h, r, t, upstream=1.0) -> SparseGrad:
     return SparseGrad(entity_ids, entity_rows, relation_ids, relation_rows)
 
 
-def save_checkpoint(params: ModelParams, path: Path, vocab,
-                    reciprocal: bool = False) -> None:
+def save_checkpoint(params: ModelParams, path: Path, vocab) -> None:
     """Self-describing .npz: metadata JSON + row-major little-endian float64.
 
-    ``vocab`` is the *base* (un-augmented) vocabulary; its label tables are
-    stored alongside the hash so a checkpoint can later be aligned to a
-    corrected dataset whose ids differ.
+    ``vocab`` is the dataset's vocabulary, without inverse relations; its
+    label tables are stored alongside the hash so a checkpoint can later be
+    aligned to a corrected dataset whose ids differ.
     """
     meta = {
         "format": CHECKPOINT_FORMAT,
@@ -556,7 +559,7 @@ def save_checkpoint(params: ModelParams, path: Path, vocab,
         "n_entities": params.n_entities,
         "n_relations": params.n_relations,
         "vocab_sha256": vocab.sha256(),
-        "reciprocal": reciprocal,
+        "reciprocal": params.reciprocal,
         "transe_norm": TRANSE_NORM,
     }
     np.savez(
@@ -569,10 +572,11 @@ def save_checkpoint(params: ModelParams, path: Path, vocab,
     )
 
 
-def load_checkpoint(path: Path, expected_vocab_sha256: str | None = None
-                    ) -> tuple[ModelParams, dict]:
-    """Load a checkpoint; refuses vocab-hash mismatches and non-finite values,
-    and metadata that is not a JSON object with fields that fit the tables.
+def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:
+    """Load a checkpoint; refuses non-finite values, metadata that is not a
+    JSON object with fields that fit the tables, and label tables that are not
+    one distinct label per entity row and per relation row (per base relation
+    row, the first half, when the checkpoint is reciprocal).
 
     The returned metadata carries ``entity_labels``/``relation_labels`` lists
     in addition to the stored JSON fields.
@@ -588,7 +592,7 @@ def load_checkpoint(path: Path, expected_vocab_sha256: str | None = None
             meta = json.loads(str(data["meta"]))
             entities = np.asarray(data["entities"], dtype=np.float64)
             relations = np.asarray(data["relations"], dtype=np.float64)
-            labels = data["entity_labels"].tolist(), data["relation_labels"].tolist()
+            labels = data["entity_labels"], data["relation_labels"]
         except KeyError as exc:
             raise CheckpointError(f"{path}: missing checkpoint entry {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -598,26 +602,28 @@ def load_checkpoint(path: Path, expected_vocab_sha256: str | None = None
     bad = [key for key, typ in _META_FIELDS.items() if not isinstance(meta.get(key), typ)]
     if bad:
         raise CheckpointError(f"{path}: checkpoint metadata lacks a valid {', '.join(bad)}")
-    meta["entity_labels"], meta["relation_labels"] = labels
-    if expected_vocab_sha256 is not None and meta["vocab_sha256"] != expected_vocab_sha256:
-        raise CheckpointError(
-            f"{path}: checkpoint vocabulary hash {meta['vocab_sha256'][:12]}... does not "
-            f"match the dataset ({expected_vocab_sha256[:12]}...); refusing to evaluate"
-        )
+    meta["entity_labels"], meta["relation_labels"] = (table.tolist() for table in labels)
     if not (np.isfinite(entities).all() and np.isfinite(relations).all()):
         raise CheckpointError(f"{path}: checkpoint contains non-finite parameters")
     try:
-        params = ModelParams(meta["kind"], meta["dim"], entities, relations)
+        params = ModelParams(meta["kind"], meta["dim"], entities, relations,
+                             bool(meta.get("reciprocal")))
     except ValueError as exc:  # an unknown kind, or tables that do not fit kind and dim
         raise CheckpointError(f"{path}: {exc}") from exc
     if params.n_entities != meta["n_entities"] or params.n_relations != meta["n_relations"]:
         raise CheckpointError(f"{path}: array shapes disagree with metadata")
+    n_base = params.n_relations // 2 if params.reciprocal else params.n_relations
+    for what, table, rows in (("entity", labels[0], params.n_entities),
+                              ("relation", labels[1], n_base)):
+        distinct = len(set(table.ravel().tolist()))
+        if table.shape != (rows,) or distinct != rows:
+            raise CheckpointError(f"{path}: {what} labels of shape {table.shape} "
+                                  f"({distinct} distinct) for {rows} {what} rows")
     return params, meta
 
 
 def align_params_to_vocab(params: ModelParams, entity_labels: list[str],
-                          relation_labels: list[str], vocab,
-                          reciprocal: bool = False) -> ModelParams:
+                          relation_labels: list[str], vocab) -> ModelParams:
     """Reindex parameter rows so ids follow ``vocab`` instead of the stored labels.
 
     Every label of ``vocab`` must exist in the checkpoint (the reverse need
@@ -636,11 +642,10 @@ def align_params_to_vocab(params: ModelParams, entity_labels: list[str],
         )
     ent_rows = [ent_index[e] for e in vocab.entities]
     rel_rows = [rel_index[r] for r in vocab.relations]
-    if reciprocal:
+    if params.reciprocal:
         n_base = len(relation_labels)
         rel_rows = rel_rows + [n_base + i for i in rel_rows]
-    return ModelParams(params.kind, params.dim,
-                       params.entities[ent_rows], params.relations[rel_rows])
+    return replace(params, entities=params.entities[ent_rows], relations=params.relations[rel_rows])
 
 
 def load_checkpoint_for(path: Path, vocab) -> tuple[ModelParams, dict]:
@@ -653,7 +658,5 @@ def load_checkpoint_for(path: Path, vocab) -> tuple[ModelParams, dict]:
     params, meta = load_checkpoint(path)
     if meta["vocab_sha256"] == vocab.sha256():
         return params, meta
-    aligned = align_params_to_vocab(params, meta["entity_labels"],
-                                    meta["relation_labels"], vocab,
-                                    reciprocal=bool(meta.get("reciprocal")))
-    return aligned, meta
+    return align_params_to_vocab(params, meta["entity_labels"], meta["relation_labels"],
+                                 vocab), meta

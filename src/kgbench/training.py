@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import SplitDataset, Vocabulary, as_triples, split_vocab
-from .models import ModelParams, SparseGrad, grad, init_params, score
+from .core import SplitDataset, as_triples, split_vocab
+from .models import MODEL_KINDS, ModelParams, SparseGrad, grad, init_params, score
+
+LOSSES = ("logistic", "margin")
+OPTIMIZERS = ("adam", "sgd")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -44,11 +47,13 @@ class TrainConfig:
     negatives: int = 1
     loss: str | None = None  # None -> margin for transe, logistic otherwise
     margin: float = 1.0
-    optimizer: str = "adam"  # "adam" | "sgd"
+    optimizer: str = "adam"
     reciprocal: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.model not in MODEL_KINDS:
+            raise ValueError(f"unknown model {self.model!r} (expected one of {MODEL_KINDS})")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.negatives < 1:
@@ -59,11 +64,11 @@ class TrainConfig:
             raise ValueError("dim must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
-        if self.loss not in (None, "logistic", "margin"):
+        if self.loss not in (None, *LOSSES):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.resolved_loss() == "margin" and self.margin <= 0:
             raise ValueError("margin must be > 0 for the margin loss")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
     def resolved_loss(self) -> str:
@@ -104,24 +109,11 @@ def _coerce(key: str, value: str):
     return value
 
 
-def augment_reciprocal(train: np.ndarray, vocab: Vocabulary
-                       ) -> tuple[np.ndarray, Vocabulary]:
-    """Append (t, r_inv, h) for every (h, r, t) row, with fresh inverse relations.
-
-    Relation ids double: r_inv = |R| + r. Inverse labels get an ``_inv``
-    suffix; a collision with an existing label is refused rather than merged.
-    """
-    n = vocab.n_relations
-    existing = set(vocab.relations)
-    inverse_labels = []
-    for label in vocab.relations:
-        inv = f"{label}_inv"
-        if inv in existing:
-            raise ValueError(f"reciprocal label collision: {inv!r} already exists")
-        inverse_labels.append(inv)
-    extended = Vocabulary(vocab.entities, vocab.relations + tuple(inverse_labels))
+def augment_reciprocal(train: np.ndarray, n_relations: int) -> np.ndarray:
+    """Append (t, r_inv, h) for every (h, r, t) row; relation r's inverse has id
+    ``n_relations + r``. Inverse relations have ids but no labels."""
     train = as_triples(train)
-    return np.concatenate([train, train[:, ::-1] + (0, n, 0)]), extended
+    return np.concatenate([train, train[:, ::-1] + (0, n_relations, 0)])
 
 
 def sample_negatives(triples: np.ndarray, k: int, entity_pool: np.ndarray,
@@ -235,9 +227,6 @@ class TrainResult:
     params: ModelParams
     epoch_losses: tuple[float, ...]
     n_updates: int
-    vocab_sha256: str  # hash of the *base* (un-augmented) vocabulary
-    reciprocal: bool
-    train_vocab: Vocabulary  # extended when reciprocal
 
 
 def train(dataset: SplitDataset, config: TrainConfig) -> TrainResult:
@@ -249,16 +238,17 @@ def train(dataset: SplitDataset, config: TrainConfig) -> TrainResult:
     triples touch. Deterministic for a fixed config and seed: init, batch
     shuffles and negative draws all flow from ``config.seed``. Raises
     :class:`TrainingError` naming the batch if the loss goes non-finite.
+    The parameters are reciprocal when ``config.reciprocal`` is.
     """
     vocab = dataset.vocab
-    rows, train_vocab = dataset.train, vocab
+    rows, n_relations = dataset.train, vocab.n_relations
     if config.reciprocal:
-        rows, train_vocab = augment_reciprocal(dataset.train, vocab)
+        rows, n_relations = augment_reciprocal(rows, n_relations), 2 * n_relations
     if not len(rows):
         raise TrainingError("train split is empty")
 
-    params = init_params(config.model, vocab.n_entities, train_vocab.n_relations,
-                         config.dim, config.seed)
+    params = replace(init_params(config.model, vocab.n_entities, n_relations, config.dim,
+                                 config.seed), reciprocal=config.reciprocal)
     rng = np.random.default_rng((config.seed, 1))
     entity_pool = split_vocab(dataset.train)[0]  # reciprocal rows only swap h and t
 
@@ -290,14 +280,7 @@ def train(dataset: SplitDataset, config: TrainConfig) -> TrainResult:
             epoch_loss += batch_loss * b
         epoch_losses.append(epoch_loss / n)
 
-    return TrainResult(
-        params=params,
-        epoch_losses=tuple(epoch_losses),
-        n_updates=n_updates,
-        vocab_sha256=vocab.sha256(),
-        reciprocal=config.reciprocal,
-        train_vocab=train_vocab,
-    )
+    return TrainResult(params=params, epoch_losses=tuple(epoch_losses), n_updates=n_updates)
 
 
 def write_loss_csv(path: Path, epoch_losses: Sequence[float]) -> None:

@@ -52,8 +52,8 @@ def test_wn18rr_test_file_parse_count():
 
 
 def test_wn18rr_reciprocal_augmentation_counts(wn18rr):
-    augmented, extended = augment_reciprocal(wn18rr.train, wn18rr.vocab)
-    assert extended.n_relations == 22
+    augmented = augment_reciprocal(wn18rr.train, wn18rr.vocab.n_relations)
+    assert int(augmented[:, 1].max()) == 21
     assert len(augmented) == 173670
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -181,6 +182,31 @@ def test_train_config_file_with_a_flag_override(clean_dir, tmp_path, capsys):
     with np.load(from_config) as a, np.load(from_flags) as b:
         for table in ("entities", "relations"):
             assert np.array_equal(a[table], b[table])
+
+
+def test_train_reciprocal_on_a_dataset_with_a_relation_named_like_an_inverse(tmp_path):
+    # inverse relations have ids, not labels, so "p_inv" is just another relation
+    data = write_split_files(tmp_path / "inv", train=[("a", "p", "b"), ("b", "p_inv", "a")],
+                             valid=[("b", "p", "a")], test=[("a", "p_inv", "b")])
+    ckpt = tmp_path / "model.npz"
+    assert _train(data, ckpt, tmp_path, ("--reciprocal",)) == 0
+    with np.load(ckpt) as z:
+        assert z["relation_labels"].tolist() == ["p", "p_inv"]
+        assert len(z["relations"]) == 4
+        assert json.loads(str(z["meta"]))["reciprocal"] is True
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                 "--json", str(report_path)]) == 0
+    assert json.loads(report_path.read_text())["reciprocal"] is True
+
+
+def test_train_config_naming_an_unknown_model_exits_65_before_loading_data(tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("model = bogus\n")
+    code = main(["train", "--data", str(tmp_path / "nowhere"), "--config", str(config),
+                 "--out", str(tmp_path / "m.npz")])
+    assert code == 65
+    assert "unknown model 'bogus'" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -385,19 +411,40 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
 
     def checkpoint(data_dir, name, n_relation_rows=None, reciprocal=False, inf=False):
         vocab = load_dataset(DatasetLayout(dir=Path(data_dir))).vocab
-        params = init_params("distmult", vocab.n_entities,
-                             n_relation_rows or vocab.n_relations, 4, seed=0)
+        params = replace(init_params("distmult", vocab.n_entities,
+                                     n_relation_rows or vocab.n_relations, 4, seed=0),
+                         reciprocal=reciprocal)
         if inf:
             params.entities[0, 0] = np.inf
         path = tmp_path / name
-        save_checkpoint(params, path, vocab, reciprocal=reciprocal)
+        save_checkpoint(params, path, vocab)
         return path
+
+    def relabel(path, name, **labels):
+        """A copy of the checkpoint at ``path`` with other label tables."""
+        with np.load(path) as z:
+            entries = {**dict(z), **{key: np.array(value) for key, value in labels.items()}}
+        np.savez(tmp_path / name, **entries)
+        return tmp_path / name
 
     clean, oov = str(clean_dir), str(oov_dir)
     all_oov = data("all_oov", [("a", "p", "b"), ("b", "p", "c"), ("c", "p", "a")],
                    [("x", "p", "a")], [("a", "p", "y")])
     model = checkpoint(clean, "model.npz")
     odd_reciprocal = checkpoint(clean, "odd.npz", n_relation_rows=3, reciprocal=True)
+    # clean's vocabulary is a, b, c and p; this one orders it b, a, c, so the
+    # checkpoint's rows are aligned by label
+    reordered = data("reordered", [("b", "p", "a"), ("a", "p", "c")], [("b", "p", "c")],
+                     [("c", "p", "b")])
+    extra_entity = relabel(model, "extra.npz", entity_labels=["x", "a", "b", "c"])
+    fewer_entities = relabel(model, "fewer.npz", entity_labels=["a", "b"])
+    repeated_entity = relabel(model, "repeated.npz", entity_labels=["a", "a", "c"])
+    extra_relation = relabel(model, "extra_relation.npz", relation_labels=["p", "q"])
+    repeated_relation = relabel(model, "repeated_relation.npz", relation_labels=["p", "p"])
+    column_of_labels = relabel(model, "column.npz", entity_labels=[["a"], ["b"], ["c"]])
+    reciprocal_labels = relabel(checkpoint(clean, "reciprocal.npz", n_relation_rows=2,
+                                           reciprocal=True),
+                                "reciprocal_labels.npz", relation_labels=["p", "q"])
     truncated = tmp_path / "truncated.npz"
     truncated.write_bytes(model.read_bytes()[:100])
     not_json = tmp_path / "not_json.npz"
@@ -452,6 +499,15 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
         (evaluate(clean, truncated), 74, "not a kgbench checkpoint"),
         (evaluate(clean, not_json), 74, "not JSON"),
         (evaluate(clean, checkpoint(clean, "inf.npz", inf=True)), 74, "non-finite"),
+        (evaluate(reordered, extra_entity), 74, "entity labels of shape (4,) (4 distinct) for 3"),
+        (evaluate(clean, extra_entity), 74, "entity labels of shape (4,) (4 distinct) for 3"),
+        (evaluate(reordered, fewer_entities), 74, "entity labels of shape (2,) (2 distinct) for 3"),
+        (evaluate(clean, fewer_entities), 74, "entity labels of shape (2,) (2 distinct) for 3"),
+        (evaluate(clean, repeated_entity), 74, "entity labels of shape (3,) (2 distinct) for 3"),
+        (evaluate(clean, extra_relation), 74, "relation labels of shape (2,) (2 distinct)"),
+        (evaluate(clean, repeated_relation), 74, "relation labels of shape (2,) (1 distinct)"),
+        (evaluate(clean, column_of_labels), 74, "entity labels of shape (3, 1) (3 distinct) for 3"),
+        (evaluate(clean, reciprocal_labels), 74, "relation labels of shape (2,) (2 distinct)"),
     ]
     capsys.readouterr()
     for argv, code, message in cases:

@@ -3,6 +3,7 @@ import json
 import tempfile
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -290,12 +291,13 @@ def test_exclude_equals_corrected_include_property(kg, kind, tie, reciprocal, se
         write_corrected(raw, detect_oov(raw), Path(tmp) / "corrected")
         corrected = load_dataset(DatasetLayout(dir=Path(tmp) / "corrected"))
     n_rel = raw.vocab.n_relations * (2 if reciprocal else 1)
-    params = init_params(kind, raw.vocab.n_entities, n_rel, 3, seed=seed)
+    params = replace(init_params(kind, raw.vocab.n_entities, n_rel, 3, seed=seed),
+                     reciprocal=reciprocal)
     params_corr = align_params_to_vocab(params, list(raw.vocab.entities),
-                                        list(raw.vocab.relations), corrected.vocab, reciprocal)
+                                        list(raw.vocab.relations), corrected.vocab)
     for split in ("valid", "test"):
-        a = evaluate(params, raw, split, "exclude", tie, reciprocal)
-        b = evaluate(params_corr, corrected, split, "include", tie, reciprocal)
+        a = evaluate(params, raw, split, "exclude", tie)
+        b = evaluate(params_corr, corrected, split, "include", tie)
         assert (a.mrr, a.hits, a.n_triples) == (b.mrr, b.hits, b.n_triples)
         per_a = {raw.vocab.relation_label(r): v for r, v in a.per_relation_mrr.items()}
         per_b = {corrected.vocab.relation_label(r): v for r, v in b.per_relation_mrr.items()}
@@ -374,19 +376,19 @@ def test_reciprocal_head_ranks_use_inverse_relation():
     rng = np.random.default_rng(21)
     ds = random_kg(rng, 6, 2, n_train=8, n_test=3)
     # params with 2|R| relation rows, as a reciprocal checkpoint would have
-    params = init_params("distmult", 6, 4, 3, seed=9)
+    params = replace(init_params("distmult", 6, 4, 3, seed=9), reciprocal=True)
     idx = filter_index_build(ds)
     union = set(dataset_rows(ds))
     ent_cands = list(range(6))
     for tr in ds.test:
         for tie in TIES:
-            got = filtered_rank_pair(params, idx, *tr, "head", tie,
-                                     np.array(ent_cands), reciprocal=True)
+            got = filtered_rank_pair(params, idx, *tr, "head", tie, np.array(ent_cands))
             want = brute_force_rank(params, union, *tr, "head", tie, ent_cands,
                                     reciprocal=True)
             assert got == want
-    report = evaluate(params, ds, split="test", reciprocal=True)
+    report = evaluate(params, ds, split="test")
     assert report.reciprocal
+    assert not evaluate_relation_prediction(params, ds, split="test").reciprocal
 
 
 def test_metric_bounds_properties():
@@ -447,23 +449,23 @@ def test_rank_records_and_metrics_follow_filtered_rank_pair(kind):
     }
     for reciprocal in (False, True):
         n_rel_rows = ds.vocab.n_relations * (2 if reciprocal else 1)
-        params = init_params(kind, ds.vocab.n_entities, n_rel_rows, 3, seed=5)
+        params = replace(init_params(kind, ds.vocab.n_entities, n_rel_rows, 3, seed=5),
+                         reciprocal=reciprocal)
         for policy, (ent, rel) in candidates.items():
             kept = [tr for tr in map(Triple._make, ds.test.tolist())
                     if policy == "include" or tr not in affected]
             for tie in TIES:
-                records = rank_records(params, ds, policy=policy, tie=tie,
-                                       reciprocal=reciprocal)
+                records = rank_records(params, ds, policy=policy, tie=tie)
                 assert [rec.triple for rec in records] == kept
                 for rec in records:
                     for direction, cands in (("tail", ent), ("head", ent), ("relation", rel)):
                         want = filtered_rank_pair(params, idx, *rec.triple, direction, tie,
-                                                  cands, reciprocal)
+                                                  cands)
                         got = (getattr(rec, f"rank_{direction}"),
                                getattr(rec, f"hits_rank_{direction}"))
                         assert got == want, (policy, tie, reciprocal, rec, direction)
                 _assert_metrics_from_records(
-                    evaluate(params, ds, policy=policy, tie=tie, reciprocal=reciprocal),
+                    evaluate(params, ds, policy=policy, tie=tie),
                     records, ("tail", "head"))
                 _assert_metrics_from_records(
                     evaluate_relation_prediction(params, ds, policy=policy, tie=tie),
@@ -476,14 +478,14 @@ def test_rank_records_do_not_depend_on_the_block_size(kind, monkeypatch):
     ds = _oov_kg(MODEL_KINDS.index(kind) + 50)
     for reciprocal in (False, True):
         n_rel_rows = ds.vocab.n_relations * (2 if reciprocal else 1)
-        params = init_params(kind, ds.vocab.n_entities, n_rel_rows, 3, seed=6)
+        params = replace(init_params(kind, ds.vocab.n_entities, n_rel_rows, 3, seed=6),
+                         reciprocal=reciprocal)
         for policy in OOV_POLICIES:
             for tie in TIES:
                 records = []
                 for floats in (1, 60, 2 ** 62):
                     monkeypatch.setattr(evaluation, "BLOCK_FLOATS", floats)
-                    records.append(rank_records(params, ds, policy=policy, tie=tie,
-                                                reciprocal=reciprocal))
+                    records.append(rank_records(params, ds, policy=policy, tie=tie))
                 assert records[0] == records[1] == records[2], (policy, tie, reciprocal)
 
 
@@ -556,7 +558,7 @@ def test_interleaved_datasets_each_rank_with_their_own_set_up(tmp_path):
     corrected = load_dataset(corrected_layout)
     params = init_params("complex", raw.vocab.n_entities, raw.vocab.n_relations, 3, seed=10)
     params_corr = align_params_to_vocab(params, list(raw.vocab.entities),
-                                        list(raw.vocab.relations), corrected.vocab, False)
+                                        list(raw.vocab.relations), corrected.vocab)
     assert len(corrected.test) < len(raw.test)
     for call in _ranking_calls(OOV_POLICIES):
         for ds, layout, p in ((raw, raw_layout, params), (corrected, corrected_layout, params_corr)):
@@ -698,15 +700,16 @@ def test_equal_entity_rows_tie_exactly_for_every_kind():
     assert evaluate(params, chain).mrr == pytest.approx(1 / 3)
 
 
-def _assert_ranks_equal_sorted_exact_rows(params, ds, split, reciprocal):
+def _assert_ranks_equal_sorted_exact_rows(params, ds, split):
     """``rank_records`` and ``filtered_rank_pair`` equal the sorting oracle over
     ``score_all_*`` rows, filtered by linear scans, under every tie policy."""
+    reciprocal = params.reciprocal
     idx = filter_index_build(ds)
     union = dataset_rows(ds)
     n_rel = ds.vocab.n_relations
     entities, relations = np.arange(ds.vocab.n_entities), np.arange(n_rel)
     for tie in TIES:
-        for rec in rank_records(params, ds, split=split, tie=tie, reciprocal=reciprocal):
+        for rec in rank_records(params, ds, split=split, tie=tie):
             h, r, t = rec.triple
             queries = {
                 "tail": (score_all_tails(params, h, r), linear_scan_tails(union, h, r), t,
@@ -721,8 +724,8 @@ def _assert_ranks_equal_sorted_exact_rows(params, ds, split, reciprocal):
                 want = sort_scan_rank(list(enumerate(row.tolist())), filtered, target, tie)
                 got = (getattr(rec, f"rank_{direction}"), getattr(rec, f"hits_rank_{direction}"))
                 assert got == want, (rec, direction, tie, reciprocal)
-                assert filtered_rank_pair(params, idx, h, r, t, direction, tie, cands,
-                                          reciprocal) == want, (rec, direction, tie, reciprocal)
+                assert filtered_rank_pair(params, idx, h, r, t, direction, tie,
+                                          cands) == want, (rec, direction, tie, reciprocal)
 
 
 def _near_tie_rows(rng, n, d, scale):
@@ -754,7 +757,8 @@ def _assert_near_ties_rank_as_the_sorted_exact_scores(kind, dim):
         for reciprocal in (False, True):
             n_rel = ds.vocab.n_relations * (2 if reciprocal else 1)
             params = _near_tie_params(rng, kind, dim, ds.vocab.n_entities, n_rel, scale)
-            _assert_ranks_equal_sorted_exact_rows(params, ds, "test", reciprocal)
+            _assert_ranks_equal_sorted_exact_rows(replace(params, reciprocal=reciprocal), ds,
+                                                  "test")
 
 
 @pytest.mark.parametrize("dim", NEAR_TIE_DIMS)
@@ -816,7 +820,7 @@ def test_each_target_is_in_its_own_band_and_the_screen_orders_the_rest(kind, dim
 
 def _assert_overflowing_screen_ranks_as_the_sorted_exact_scores(params, ds):
     with np.errstate(over="ignore", invalid="ignore"):
-        _assert_ranks_equal_sorted_exact_rows(params, ds, "test", False)
+        _assert_ranks_equal_sorted_exact_rows(params, ds, "test")
         ranks = [rec.rank_tail for rec in rank_records(params, ds, tie="optimistic")]
     assert max(ranks) > 1, ranks  # not every target first
 
@@ -894,9 +898,7 @@ def test_overflowing_target_score_is_refused():
     params.entities[:] = 1e200  # finite rows whose products overflow to inf
     with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="not finite"):
         evaluate(params, ds, split="test")
-    params = init_params("distmult", 3, 1, 3, seed=0)
-    params.entities[ds.vocab.entity_id("c")] = np.nan  # the test triple's tail
-    with pytest.raises(EvaluationError, match="not finite"):
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="not finite"):
         filtered_rank_pair(params, filter_index_build(ds), *ds.test[0], "tail")
 
 
@@ -920,6 +922,23 @@ def test_filtered_rank_pair_refuses_a_target_outside_the_candidates():
                            candidates=np.array([a, c]))
 
 
+def test_filtered_rank_pair_refuses_non_finite_parameters_as_evaluate_does():
+    ds = make_dataset([("a", "p", "b"), ("b", "p", "c")], [], [("a", "p", "c")])
+    idx = filter_index_build(ds)
+    h, r, t = ds.test[0].tolist()
+    # b is in no slot of the test triple, so no target score is non-finite
+    for table, row, value in (("entities", ds.vocab.entity_id("b"), np.nan),
+                              ("relations", r, np.inf)):
+        params = init_params("distmult", 3, 1, 3, seed=0)
+        getattr(params, table)[row, 0] = value
+        with pytest.raises(EvaluationError, match="parameter tables contain non-finite values"):
+            evaluate(params, ds)
+        for direction in ("tail", "head", "relation"):
+            with pytest.raises(EvaluationError,
+                               match="parameter tables contain non-finite values"):
+                filtered_rank_pair(params, idx, h, r, t, direction)
+
+
 def test_exclude_with_everything_oov_errors():
     ds = make_dataset([("a", "p", "b")], [("x", "p", "y")], [("z", "p", "a")])
     params = init_params("distmult", ds.vocab.n_entities, 1, 3, seed=0)
@@ -937,7 +956,8 @@ def test_params_must_cover_vocabulary():
     with pytest.raises(EvaluationError, match="relation vocabulary"):
         evaluate(one_relation, two_relations, split="test")
     with pytest.raises(EvaluationError, match="relation vocabulary"):
-        evaluate(one_relation, ds, split="test", reciprocal=True)  # 2 rows per relation
+        # 2 rows per relation
+        evaluate(replace(one_relation, reciprocal=True), ds, split="test")
 
 
 def test_report_json_matches_schema():

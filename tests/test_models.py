@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -350,24 +352,21 @@ def _vocab(n_entities, n_relations):
 
 def test_checkpoint_round_trip(tmp_path):
     vocab = _vocab(8, 3)
-    p = init_params("rescal", 8, 3, 4, seed=5)
-    path = tmp_path / "model.npz"
-    save_checkpoint(p, path, vocab, reciprocal=True)
-    loaded, meta = load_checkpoint(path, expected_vocab_sha256=vocab.sha256())
-    assert loaded.kind == "rescal" and loaded.dim == 4
-    assert np.array_equal(loaded.entities, p.entities)
-    assert np.array_equal(loaded.relations, p.relations)
-    assert meta["reciprocal"] is True
-    assert meta["transe_norm"] == "l2"
-    assert meta["entity_labels"] == list(vocab.entities)
-
-
-def test_checkpoint_refuses_vocab_mismatch(tmp_path):
-    p = init_params("transe", 4, 2, 3, seed=1)
-    path = tmp_path / "model.npz"
-    save_checkpoint(p, path, _vocab(4, 2))
-    with pytest.raises(CheckpointError, match="hash"):
-        load_checkpoint(path, expected_vocab_sha256="wrong")
+    for reciprocal in (False, True):
+        p = replace(init_params("rescal", 8, 3 * (1 + reciprocal), 4, seed=5),
+                    reciprocal=reciprocal)
+        path = tmp_path / "model.npz"
+        save_checkpoint(p, path, vocab)
+        loaded, meta = load_checkpoint(path)
+        assert loaded.kind == "rescal" and loaded.dim == 4
+        assert loaded.reciprocal is reciprocal
+        assert np.array_equal(loaded.entities, p.entities)
+        assert np.array_equal(loaded.relations, p.relations)
+        assert meta["reciprocal"] is reciprocal
+        assert meta["vocab_sha256"] == vocab.sha256()
+        assert meta["transe_norm"] == "l2"
+        assert meta["entity_labels"] == list(vocab.entities)
+        assert meta["relation_labels"] == list(vocab.relations)
 
 
 def test_checkpoint_refuses_non_finite(tmp_path):
@@ -410,12 +409,14 @@ def test_checkpoint_alignment_keeps_reciprocal_blocks(tmp_path):
 
     vocab = build_vocabulary([("a", "p", "b"), ("b", "q", "c")])
     # reciprocal checkpoint: 2|R| relation rows, inverse of r at |R| + r
-    p = init_params("distmult", vocab.n_entities, 2 * vocab.n_relations, 3, seed=4)
+    p = replace(init_params("distmult", vocab.n_entities, 2 * vocab.n_relations, 3, seed=4),
+                reciprocal=True)
     path = tmp_path / "model.npz"
-    save_checkpoint(p, path, vocab, reciprocal=True)
+    save_checkpoint(p, path, vocab)
     sub = build_vocabulary([("c", "q", "a")])
     aligned, meta = load_checkpoint_for(path, sub)
     assert meta["reciprocal"] is True
+    assert aligned.reciprocal
     assert aligned.n_relations == 2  # q and q_inv
     q_old = vocab.relation_id("q")
     assert np.array_equal(aligned.relations[0], p.relations[q_old])

@@ -1,14 +1,17 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kgbench import Triple, augment_reciprocal, build_vocabulary, sample_negatives
+from kgbench import Triple, augment_reciprocal, sample_negatives
 from kgbench.models import MODEL_KINDS, grad, init_params
 from kgbench.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    LOSSES,
+    OPTIMIZERS,
     TrainConfig,
     TrainingError,
     _Adam,
@@ -23,25 +26,16 @@ from oracles import grad_rows
 
 
 def test_augment_reciprocal_single_triple():
-    vocab = build_vocabulary([("a", "p", "b")])
-    augmented, extended = augment_reciprocal([Triple(0, 0, 1)], vocab)
+    augmented = augment_reciprocal([Triple(0, 0, 1)], 1)
     assert augmented.tolist() == [[0, 0, 1], [1, 1, 0]]
-    assert extended.n_relations == 2
-    assert extended.relations == ("p", "p_inv")
-    assert extended.entities == vocab.entities
+    augmented = augment_reciprocal([Triple(2, 1, 0)], 3)  # inverse of 1 is 3 + 1
+    assert augmented.tolist() == [[2, 1, 0], [0, 4, 2]]
 
 
 def test_augment_reciprocal_empty_train_still_doubles_relations():
-    vocab = build_vocabulary([("a", "p", "b"), ("b", "q", "a")])
-    augmented, extended = augment_reciprocal([], vocab)
+    augmented = augment_reciprocal([], 2)
     assert augmented.tolist() == []
-    assert extended.n_relations == 4
-
-
-def test_augment_reciprocal_rejects_label_collision():
-    vocab = build_vocabulary([("a", "p", "b"), ("a", "p_inv", "b")])
-    with pytest.raises(ValueError, match="collision"):
-        augment_reciprocal([], vocab)
+    assert augmented.shape == (0, 3)
 
 
 def test_sample_negatives_degenerate_pool():
@@ -271,9 +265,8 @@ def test_train_reciprocal_doubles_relation_rows():
                          reciprocal=True, seed=0)
     result = train(ds, config)
     assert result.params.n_relations == 2 * ds.vocab.n_relations
-    assert result.reciprocal
-    assert result.train_vocab.n_relations == 2 * ds.vocab.n_relations
-    assert result.vocab_sha256 == ds.vocab.sha256()
+    assert result.params.reciprocal
+    assert not train(ds, replace(config, reciprocal=False)).params.reciprocal
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -292,6 +285,19 @@ def test_margin_is_validated_for_the_resolved_loss():
     with pytest.raises(ValueError, match="margin"):
         TrainConfig(model="distmult", loss="margin", margin=0.0)
     assert TrainConfig(model="transe", loss="logistic", margin=-1.0).margin == -1.0
+
+
+def test_config_refuses_unknown_choices():
+    with pytest.raises(ValueError, match="unknown model 'bogus'"):
+        TrainConfig(model="bogus")
+    with pytest.raises(ValueError, match="unknown loss"):
+        TrainConfig(loss="hinge")
+    with pytest.raises(ValueError, match="unknown optimizer"):
+        TrainConfig(optimizer="lbfgs")
+    for model in MODEL_KINDS:
+        for loss in (None, *LOSSES):
+            for optimizer in OPTIMIZERS:
+                TrainConfig(model=model, loss=loss, optimizer=optimizer)
 
 
 def test_default_loss_depends_on_model():
