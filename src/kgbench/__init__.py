@@ -19,6 +19,7 @@ from .evaluation import (
 )
 from .ingest import DatasetLayout, ParseError, load_dataset, parse_triples, write_corrected
 from .models import (
+    Batch,
     ModelParams,
     align_params_to_vocab,
     grad,
@@ -36,6 +37,7 @@ from .training import TrainConfig, augment_reciprocal, sample_negatives, train
 from .version import __version__
 
 __all__ = [
+    "Batch",
     "DatasetError",
     "DatasetLayout",
     "DegreeStats",

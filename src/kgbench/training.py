@@ -7,9 +7,13 @@ are drawn from train-split entities only and are *not* filtered against
 known-true triples (standard practice; the false-negative rate is tiny at
 benchmark scale, but it does shift absolute loss values).
 
-The Adam step updates the touched rows in place, in three row buffers per
-table, with the operations of the textbook expressions in their order, so
-no step allocates more than a few copies of the gradient's rows.
+Each minibatch is one ``Batch`` of its positives and negatives, gathered
+once, with one ``score`` call and one ``grad`` call on it. Under the margin
+loss the gradient is taken over the pairs inside the margin, picked from
+the batch by position. The Adam step updates the touched rows in place, in
+three row buffers per table, with the operations of the textbook
+expressions in their order, so no step allocates more than a few copies of
+the gradient's rows.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import SplitDataset, as_triples, split_vocab
-from .models import MODEL_KINDS, ModelParams, SparseGrad, grad, init_params, score
+from .models import MODEL_KINDS, Batch, ModelParams, SparseGrad, grad, init_params, score
 
 LOSSES = ("logistic", "margin")
 OPTIMIZERS = ("adam", "sgd")
@@ -195,31 +199,32 @@ class _Adam:
             table[ids] = scratch
 
 
-def _batch_loss(loss_kind: str, margin: float, pos: np.ndarray, neg: np.ndarray,
-                s_pos: np.ndarray, s_neg: np.ndarray
-                ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean loss of one batch, the triples that contribute gradient rows, and
-    d(loss)/d(score) for each of them.
+def _batch_loss(loss_kind: str, margin: float, s_pos: np.ndarray, s_neg: np.ndarray
+                ) -> tuple[float, np.ndarray | None, np.ndarray]:
+    """Mean loss of one batch, the positions of the triples that contribute
+    gradient rows, and d(loss)/d(score) for each of them.
 
-    ``neg`` holds k corruptions per positive, as :func:`sample_negatives`
-    lays them out. Under the logistic loss every triple contributes; under
-    the margin loss only the pairs inside the margin do, so a batch with
-    no such pair contributes no triple.
+    The batch is ``b`` positives then ``k`` corruptions per positive, as
+    :func:`sample_negatives` lays them out, and ``s_pos`` and ``s_neg`` are
+    their scores. Under the logistic loss every triple contributes, in
+    batch order, and the positions are ``None``. Under the margin loss only
+    the pairs inside the margin do: the positive of each active pair, at
+    ``active // k``, then its negative, at ``b + active``. A batch with no
+    such pair contributes no triple.
     """
-    b = len(pos)
-    k = len(neg) // b
+    b = len(s_pos)
+    k = len(s_neg) // b
     if loss_kind == "logistic":
         loss = float(np.logaddexp(0.0, -s_pos).sum() + np.logaddexp(0.0, s_neg).sum() / k) / b
         # d softplus(x)/dx = sigmoid(x) = (1 + tanh(x/2)) / 2
         upstream = np.concatenate([-0.5 * (1.0 + np.tanh(-0.5 * s_pos)) / b,
                                    0.5 * (1.0 + np.tanh(0.5 * s_neg)) / (k * b)])
-        return loss, np.concatenate([pos, neg]), upstream
+        return loss, None, upstream
     gap = margin - np.repeat(s_pos, k) + s_neg
-    active = gap > 0.0
+    active = np.flatnonzero(gap > 0.0)
     loss = float(gap[active].sum()) / k / b
-    n_active = int(active.sum())
-    upstream = np.repeat([-1.0 / (k * b), 1.0 / (k * b)], n_active)
-    return loss, np.concatenate([np.repeat(pos, k, axis=0)[active], neg[active]]), upstream
+    upstream = np.repeat([-1.0 / (k * b), 1.0 / (k * b)], len(active))
+    return loss, np.concatenate([active // k, b + active]), upstream
 
 
 @dataclass(frozen=True)
@@ -267,15 +272,17 @@ def train(dataset: SplitDataset, config: TrainConfig) -> TrainResult:
             pos = rows[order[start:start + config.batch_size]]
             b = len(pos)
             neg = sample_negatives(pos, k, entity_pool, rng)
-            s = score(params, *np.concatenate([pos, neg]).T)
-            batch_loss, contributing, upstream = _batch_loss(loss_kind, config.margin,
-                                                             pos, neg, s[:b], s[b:])
+            batch = Batch(params, *np.concatenate([pos, neg]).T)
+            s = score(batch)
+            batch_loss, positions, upstream = _batch_loss(loss_kind, config.margin, s[:b], s[b:])
             if not math.isfinite(batch_loss):
                 raise TrainingError(
                     f"non-finite loss in epoch {epoch + 1}, batch {batch_no + 1}; "
                     f"try a smaller learning rate"
                 )
-            optimizer.step(grad(params, *contributing.T, upstream))
+            if positions is not None:
+                batch = batch.take(positions)  # and the whole batch is freed
+            optimizer.step(grad(batch, upstream))
             n_updates += 1
             epoch_loss += batch_loss * b
         epoch_losses.append(epoch_loss / n)

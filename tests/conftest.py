@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgbench import SplitDataset, build_vocabulary
+from kgbench import Batch, SplitDataset, build_vocabulary, score
 from kgbench.ingest import DatasetLayout
 
 BENCHMARK_DIRS = {
@@ -59,6 +59,11 @@ def write_split_files(directory: Path, train, valid, test, sep: str = "\t") -> P
         text = "".join(sep.join(row) + "\n" for row in rows)
         (directory / f"{name}.txt").write_text(text, encoding="utf-8")
     return directory
+
+
+def score_one(params, h: int, r: int, t: int) -> float:
+    """``score`` of one triple, from a batch of one."""
+    return float(score(Batch(params, h, r, t))[0])
 
 
 def random_kg(rng: np.random.Generator, n_entities: int, n_relations: int,

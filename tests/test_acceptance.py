@@ -22,12 +22,12 @@ from kgbench import (
 )
 from kgbench.evaluation import filtered_rank_pair, rank_records
 from kgbench.ingest import DatasetLayout
-from kgbench.models import MODEL_KINDS, ModelParams, grad, score
+from kgbench.models import MODEL_KINDS, Batch, ModelParams, grad
 from kgbench.reporting import compare_to_reference
 from kgbench.stats import delta_summary, load_fixture_pairs, wilcoxon_signed_rank
 from kgbench.training import TrainConfig, train
 
-from conftest import benchmark_layout, make_dataset, random_kg
+from conftest import benchmark_layout, make_dataset, random_kg, score_one
 from oracles import brute_force_rank, central_difference_grad, dataset_rows, grad_rows
 
 DATASETS = ("wn18rr", "fb15k-237", "yago3-10")
@@ -191,8 +191,8 @@ def test_criterion_6_gradient_checks(kind):
     for _ in range(points):
         h, r, t = int(rng.integers(8)), int(rng.integers(4)), int(rng.integers(8))
         upstream = float(rng.normal()) or 1.0
-        analytic = grad(params, h, r, t, upstream=upstream)
-        numeric = central_difference_grad(score, params.copy(), h, r, t,
+        analytic = grad(Batch(params, h, r, t), upstream)
+        numeric = central_difference_grad(score_one, params.copy(), h, r, t,
                                           upstream=upstream, eps=1e-4)
         for table, rows in zip(("entities", "relations"), grad_rows(analytic)):
             for rid, vec in rows.items():

@@ -442,6 +442,7 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
     extra_relation = relabel(model, "extra_relation.npz", relation_labels=["p", "q"])
     repeated_relation = relabel(model, "repeated_relation.npz", relation_labels=["p", "p"])
     column_of_labels = relabel(model, "column.npz", entity_labels=[["a"], ["b"], ["c"]])
+    object_labels = relabel(model, "object.npz", entity_labels=np.array(["a", "b", "c"], object))
     reciprocal_labels = relabel(checkpoint(clean, "reciprocal.npz", n_relation_rows=2,
                                            reciprocal=True),
                                 "reciprocal_labels.npz", relation_labels=["p", "q"])
@@ -507,6 +508,7 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
         (evaluate(clean, extra_relation), 74, "relation labels of shape (2,) (2 distinct)"),
         (evaluate(clean, repeated_relation), 74, "relation labels of shape (2,) (1 distinct)"),
         (evaluate(clean, column_of_labels), 74, "entity labels of shape (3, 1) (3 distinct) for 3"),
+        (evaluate(clean, object_labels), 74, "Object arrays cannot be loaded"),
         (evaluate(clean, reciprocal_labels), 74, "relation labels of shape (2,) (2 distinct)"),
     ]
     capsys.readouterr()

@@ -6,6 +6,9 @@ import pytest
 from kgbench.models import (
     MODEL_KINDS,
     _query,
+    _reduce_rows,
+    _runs,
+    Batch,
     CheckpointError,
     ModelParams,
     grad,
@@ -21,6 +24,7 @@ from kgbench.models import (
     screen_table,
 )
 
+from conftest import score_one
 from oracles import central_difference_grad, complex_query, grad_rows, score_via_params
 
 DOT_KINDS = ("rescal", "distmult", "complex")
@@ -30,15 +34,15 @@ def test_transe_translation_identity_scores_zero():
     entities = np.array([[0.0, 0.0], [1.0, 2.0]])
     relations = np.array([[1.0, 2.0]])
     p = ModelParams("transe", 2, entities, relations)
-    assert score(p, 0, 0, 1) == 0.0
+    assert score_one(p, 0, 0, 1) == 0.0
     # zero is the maximum attainable
-    assert score(p, 1, 0, 0) <= 0.0
+    assert score_one(p, 1, 0, 0) <= 0.0
     assert score_all_tails(p, 0, 0).max() == 0.0
 
 
 def test_distmult_all_ones_scores_dim():
     p = ModelParams("distmult", 4, np.ones((3, 4)), np.ones((2, 4)))
-    assert score(p, 0, 0, 1) == 4.0
+    assert score_one(p, 0, 0, 1) == 4.0
 
 
 def test_complex_with_zero_imaginary_equals_distmult():
@@ -51,7 +55,7 @@ def test_complex_with_zero_imaginary_equals_distmult():
                      np.hstack([real_r, np.zeros((2, d))]))
     dm = ModelParams("distmult", d, real_e, real_r)
     for h, r, t in ((0, 0, 1), (2, 1, 3), (5, 0, 5)):
-        assert score(cx, h, r, t) == pytest.approx(score(dm, h, r, t), rel=1e-12)
+        assert score_one(cx, h, r, t) == pytest.approx(score_one(dm, h, r, t), rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -61,7 +65,7 @@ def test_score_matches_scalar_loop_oracle(kind):
     oracle = score_via_params(p)
     for _ in range(25):
         h, r, t = int(rng.integers(7)), int(rng.integers(3)), int(rng.integers(7))
-        assert score(p, h, r, t) == pytest.approx(oracle(h, r, t), rel=1e-10, abs=1e-12)
+        assert score_one(p, h, r, t) == pytest.approx(oracle(h, r, t), rel=1e-10, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -73,12 +77,12 @@ def test_score_all_matches_scalar_path(kind):
         rels = score_all_relations(p, h, t)
         assert tails.shape == (50,) and heads.shape == (50,) and rels.shape == (4,)
         for x in range(50):
-            s = score(p, h, r, x)
+            s = score_one(p, h, r, x)
             assert abs(tails[x] - s) < 1e-6 * (1 + abs(s))
-            s = score(p, x, r, t)
+            s = score_one(p, x, r, t)
             assert abs(heads[x] - s) < 1e-6 * (1 + abs(s))
         for x in range(4):
-            s = score(p, h, x, t)
+            s = score_one(p, h, x, t)
             assert abs(rels[x] - s) < 1e-6 * (1 + abs(s))
 
 
@@ -87,10 +91,9 @@ def test_score_on_arrays_equals_scalar_score(kind):
     rng = np.random.default_rng(5)
     p = init_params(kind, 9, 3, 6, seed=5)
     h, r, t = rng.integers(9, size=60), rng.integers(3, size=60), rng.integers(9, size=60)
-    batch = score(p, h, r, t)
+    batch = score(Batch(p, h, r, t))
     assert batch.dtype == np.float64 and batch.shape == (60,)
-    scalars = [score(p, a, b, c) for a, b, c in zip(h.tolist(), r.tolist(), t.tolist())]
-    assert all(type(x) is float for x in scalars)
+    scalars = [score_one(p, a, b, c) for a, b, c in zip(h.tolist(), r.tolist(), t.tolist())]
     # BLAS may sum RESCAL's one-row matmul in another order than a many-row one
     np.testing.assert_allclose(batch, scalars, rtol=1e-12, atol=1e-15)
 
@@ -185,7 +188,7 @@ def _per_triple_terms(p, h, r, t, upstream):
     """{id: [gradient row of each triple touching it]} from one grad call per triple."""
     entities, relations = {}, {}
     for a, b, c, u in zip(h.tolist(), r.tolist(), t.tolist(), upstream.tolist()):
-        for terms, rows in zip((entities, relations), grad_rows(grad(p, a, b, c, upstream=u))):
+        for terms, rows in zip((entities, relations), grad_rows(grad(Batch(p, a, b, c), u))):
             for rid, vec in rows.items():
                 terms.setdefault(rid, []).append(vec)
     return entities, relations
@@ -204,7 +207,7 @@ def test_batched_grad_equals_sum_of_per_triple_grads(kind):
     # a negative equal to its positive, with the opposite upstream
     h, r, t = np.append(h, h[10]), np.append(r, r[10]), np.append(t, t[10])
     upstream[40] = -upstream[10]
-    g = grad(p, h, r, t, upstream)
+    g = grad(Batch(p, h, r, t), upstream)
     ent_terms, rel_terms = _per_triple_terms(p, h, r, t, upstream)
     assert g.entity_ids.tolist() == sorted(set(h.tolist()) | set(t.tolist()))
     assert g.relation_ids.tolist() == sorted(set(r.tolist()))
@@ -217,11 +220,53 @@ def test_batched_grad_equals_sum_of_per_triple_grads(kind):
                           <= 1e-12 * np.abs(stacked).sum(axis=0))
 
 
+def _reduce_cases():
+    rng = np.random.default_rng(41)
+    every_length = np.repeat(rng.permutation(40), np.arange(1, 41))  # runs of 1 to 40 rows
+    return {
+        "every_length": rng.permutation(every_length),
+        "singletons": rng.permutation(500),
+        "one_id": np.full(300, 7),
+        "hub_skewed": rng.zipf(1.6, size=2048) % 300,
+        "empty": np.zeros(0, dtype=np.int64),
+    }
+
+
+@pytest.mark.parametrize("case", ["every_length", "singletons", "one_id", "hub_skewed", "empty"])
+def test_reduce_rows_equals_reduceat_over_the_stably_sorted_rows(case):
+    ids = _reduce_cases()[case]
+    rng = np.random.default_rng(len(ids))
+    # magnitudes from 1e-8 to 1e8, so that another summation order rounds otherwise
+    rows = rng.normal(size=(len(ids), 6)) * 10.0 ** rng.uniform(-8, 8, size=(len(ids), 1))
+    stable = np.argsort(ids, kind="stable")
+    order, starts = _runs(ids)
+    assert np.array_equal(order, stable)
+    ordered = ids[stable]
+    assert starts.tolist() == [i for i in range(len(ids)) if i == 0 or ordered[i] != ordered[i - 1]]
+    unique, sums = _reduce_rows(ids, rows)
+    assert unique.tolist() == sorted(set(ids.tolist()))
+    assert sums.shape == (len(unique), 6)
+    if len(ids):
+        assert sums.tobytes() == np.add.reduceat(rows[stable], starts, axis=0).tobytes()
+
+
+def test_a_batch_gives_one_gradient():
+    p = init_params("distmult", 4, 2, 3, seed=0)
+    batch = Batch(p, np.array([0, 1]), np.array([1, 0]), np.array([2, 2]))
+    before = score(batch)
+    assert np.array_equal(score(batch), before)  # scoring again reuses the query
+    grad(batch)
+    with pytest.raises(ValueError, match="gradient"):
+        grad(batch)
+    with pytest.raises(ValueError, match="gradient"):
+        score(batch)
+
+
 def test_grad_of_no_triples_is_empty():
     for kind in MODEL_KINDS:
         p = init_params(kind, 4, 2, 3, seed=0)
         none = np.zeros(0, dtype=np.int64)
-        g = grad(p, none, none, none, np.zeros(0))
+        g = grad(Batch(p, none, none, none), np.zeros(0))
         assert g.entity_ids.size == 0 and g.relation_ids.size == 0
         assert g.entity_rows.shape == (0,) + p.entities.shape[1:]
         assert g.relation_rows.shape == (0,) + p.relations.shape[1:]
@@ -231,7 +276,7 @@ def test_score_all_single_entity():
     p = init_params("distmult", 1, 1, 3, seed=0)
     v = score_all_tails(p, 0, 0)
     assert v.shape == (1,)
-    assert v[0] == pytest.approx(score(p, 0, 0, 0))
+    assert v[0] == pytest.approx(score_one(p, 0, 0, 0))
 
 
 def test_distmult_symmetry_tails_equals_heads():
@@ -248,17 +293,17 @@ def test_distmult_is_symmetric_complex_can_be_antisymmetric():
     for _ in range(20):
         rng = np.random.default_rng(_)
         h, r, t = int(rng.integers(8)), int(rng.integers(2)), int(rng.integers(8))
-        assert score(dm, h, r, t) == pytest.approx(score(dm, t, r, h), rel=1e-12)
+        assert score_one(dm, h, r, t) == pytest.approx(score_one(dm, t, r, h), rel=1e-12)
     # explicit construction with nonzero imaginary parts
     entities = np.array([[1.0, 0.0], [0.0, 1.0]])  # d=1: e0 = 1, e1 = i
     relations = np.array([[0.0, 1.0]])  # w = i
     cx = ModelParams("complex", 1, entities, relations)
-    assert score(cx, 0, 0, 1) != pytest.approx(score(cx, 1, 0, 0))
+    assert score_one(cx, 0, 0, 1) != pytest.approx(score_one(cx, 1, 0, 0))
 
 
 def test_grad_distmult_hand_example():
     p = ModelParams("distmult", 1, np.array([[2.0], [5.0]]), np.array([[3.0]]))
-    entities, relations = grad_rows(grad(p, 0, 0, 1))
+    entities, relations = grad_rows(grad(Batch(p, 0, 0, 1)))
     assert entities[0] == pytest.approx([15.0])  # w * e_t
     assert entities[1] == pytest.approx([6.0])   # e_h * w
     assert relations[0] == pytest.approx([10.0])  # e_h * e_t
@@ -266,7 +311,7 @@ def test_grad_distmult_hand_example():
 
 def test_grad_zero_upstream_is_zero():
     p = init_params("rescal", 4, 2, 3, seed=2)
-    g = grad(p, 0, 1, 2, upstream=0.0)
+    g = grad(Batch(p, 0, 1, 2), 0.0)
     assert not g.entity_rows.any() and not g.relation_rows.any()
 
 
@@ -274,7 +319,7 @@ def test_transe_grad_at_singular_point_is_zero():
     entities = np.array([[0.0, 0.0], [1.0, 1.0]])
     relations = np.array([[1.0, 1.0]])
     p = ModelParams("transe", 2, entities, relations)
-    entities, relations = grad_rows(grad(p, 0, 0, 1))  # e_h + w - e_t = 0 exactly
+    entities, relations = grad_rows(grad(Batch(p, 0, 0, 1)))  # e_h + w - e_t = 0 exactly
     assert np.all(entities[0] == 0.0)
     assert np.all(relations[0] == 0.0)
     assert not np.isnan(entities[1]).any()
@@ -289,8 +334,8 @@ def test_grad_matches_finite_differences(kind):
     for trial in range(20):
         h, r, t = int(rng.integers(6)), int(rng.integers(3)), int(rng.integers(6))
         upstream = float(rng.normal())
-        analytic = grad(p, h, r, t, upstream=upstream)
-        numeric = central_difference_grad(score, p.copy(), h, r, t, upstream=upstream)
+        analytic = grad(Batch(p, h, r, t), upstream)
+        numeric = central_difference_grad(score_one, p.copy(), h, r, t, upstream=upstream)
         entities, relations = grad_rows(analytic)
         for rid, vec in relations.items():
             assert np.allclose(vec, numeric["relations"][rid], rtol=1e-4, atol=1e-7)
@@ -300,10 +345,10 @@ def test_grad_matches_finite_differences(kind):
 
 def test_grad_combines_head_and_tail_for_reflexive_triples():
     p = init_params("distmult", 3, 1, 4, seed=8)
-    entities, _ = grad_rows(grad(p, 1, 0, 1))
+    entities, _ = grad_rows(grad(Batch(p, 1, 0, 1)))
     expected = p.relations[0] * p.entities[1] + p.entities[1] * p.relations[0]
     assert np.allclose(entities[1], expected)
-    numeric = central_difference_grad(score, p.copy(), 1, 0, 1)
+    numeric = central_difference_grad(score_one, p.copy(), 1, 0, 1)
     assert np.allclose(entities[1], numeric["entities"][1], rtol=1e-4, atol=1e-8)
 
 
@@ -427,18 +472,18 @@ def test_checkpoint_alignment_keeps_reciprocal_blocks(tmp_path):
 def test_score_rejects_out_of_range_ids():
     p = init_params("distmult", 3, 2, 4, seed=0)
     with pytest.raises(IndexError):
-        score(p, 3, 0, 0)
+        Batch(p, 3, 0, 0)
     with pytest.raises(IndexError):
-        score(p, 0, 2, 0)
+        Batch(p, 0, 2, 0)
     with pytest.raises(IndexError):
         score_all_tails(p, 0, 5)
     ids = np.array([0, 1])
     with pytest.raises(IndexError):
-        score(p, ids, ids, np.array([0, 3]))
+        Batch(p, ids, ids, np.array([0, 3]))
     with pytest.raises(IndexError):
-        grad(p, ids, np.array([0, -1]), ids)
+        Batch(p, ids, np.array([0, -1]), ids)
     with pytest.raises(ValueError, match="equal-length"):
-        score(p, ids, ids, np.array([0]))
+        Batch(p, ids, ids, np.array([0]))
     with pytest.raises(IndexError):
         score_all_relations(p, ids, np.array([0, 3]))
     with pytest.raises(ValueError, match="equal-length"):

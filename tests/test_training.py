@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kgbench import Triple, augment_reciprocal, sample_negatives
-from kgbench.models import MODEL_KINDS, grad, init_params
+from kgbench.models import MODEL_KINDS, Batch, grad, init_params, score
 from kgbench.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -115,7 +115,7 @@ def test_optimizer_step_equals_per_row_loop(kind, optimizer):
     }
     for step in (1, 2, 3):
         h, r, t = rng.integers(10, size=12), rng.integers(3, size=12), rng.integers(10, size=12)
-        g = grad(params, h, r, t, rng.normal(size=12))
+        g = grad(Batch(params, h, r, t), rng.normal(size=12))
         opt.step(g)
         _per_row_step(reference, moments, step, g, 0.05)
         assert np.array_equal(params.entities, reference.entities)
@@ -135,15 +135,22 @@ def _traced_peak(call):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_training_step_transient_memory_is_bounded(kind):
     # One batch of 512 positives and 512 negatives on a KG of FB15K-237's
-    # relation count: grad holds a few (m, w) row arrays at a time and the
-    # Adam step a few arrays of the gradient's rows, never one per operation.
+    # relation count: the batch, its score and its grad hold a few (m, w) row
+    # arrays at a time and the Adam step a few arrays of the gradient's rows,
+    # never one per operation.
     rng = np.random.default_rng(12)
     m, n_entities, n_relations = 1024, 2000, 237
     h, r, t = (rng.integers(n, size=m) for n in (n_entities, n_relations, n_entities))
     upstream = rng.normal(size=m)
     params = init_params(kind, n_entities, n_relations, 16, seed=12)
     adam = _Adam(params, 0.05)
-    g, grad_peak = _traced_peak(lambda: grad(params, h, r, t, upstream))
+
+    def step():
+        batch = Batch(params, h, r, t)
+        score(batch)
+        return grad(batch, upstream)
+
+    g, grad_peak = _traced_peak(step)
     _, step_peak = _traced_peak(lambda: adam.step(g))
     row_array = m * params.entities.shape[1] * 8
     assert grad_peak <= 8 * row_array + g.relation_rows.nbytes
@@ -153,9 +160,11 @@ def test_training_step_transient_memory_is_bounded(kind):
 def test_margin_batch_loss_keeps_only_pairs_inside_the_margin():
     pos = np.array([[0, 0, 1], [2, 1, 3]])
     neg = np.array([[0, 0, 2], [3, 0, 1], [2, 1, 0], [1, 1, 3]])  # k = 2
-    loss, contributing, upstream = _batch_loss(
-        "margin", 1.0, pos, neg, np.array([5.0, 4.0]), np.array([4.5, 2.0, 2.0, 3.5]))
+    loss, positions, upstream = _batch_loss(
+        "margin", 1.0, np.array([5.0, 4.0]), np.array([4.5, 2.0, 2.0, 3.5]))
     assert loss == pytest.approx((0.5 + 0.5) / 2 / 2)
+    assert positions.tolist() == [0, 1, 2, 5]
+    contributing = np.concatenate([pos, neg])[positions]
     assert contributing.tolist() == [[0, 0, 1], [2, 1, 3], [0, 0, 2], [1, 1, 3]]
     assert upstream.tolist() == [-0.25, -0.25, 0.25, 0.25]
 
@@ -163,24 +172,64 @@ def test_margin_batch_loss_keeps_only_pairs_inside_the_margin():
 def test_margin_batch_without_active_pair_moves_no_row_and_advances_adam():
     pos = np.array([[0, 0, 1], [2, 1, 3]])
     neg = np.array([[0, 0, 2], [3, 0, 1], [2, 1, 0], [1, 1, 3]])
-    loss, contributing, upstream = _batch_loss(
-        "margin", 1.0, pos, neg, np.array([5.0, 4.0]), np.full(4, 2.0))
-    assert loss == 0.0 and contributing.shape == (0, 3) and upstream.shape == (0,)
+    loss, positions, upstream = _batch_loss(
+        "margin", 1.0, np.array([5.0, 4.0]), np.full(4, 2.0))
+    assert loss == 0.0 and positions.shape == (0,) and upstream.shape == (0,)
     params = init_params("distmult", 4, 2, 3, seed=0)
     reference = params.copy()
     adam = _Adam(params, 0.1)
-    adam.step(grad(params, *contributing.T, upstream))
+    adam.step(grad(Batch(params, *np.concatenate([pos, neg]).T).take(positions), upstream))
     assert adam.t == 1
     assert np.array_equal(params.entities, reference.entities)
     assert np.array_equal(params.relations, reference.relations)
     # the next step's bias correction is that of step 2
-    g = grad(params, *pos.T, np.array([1.0, -2.0]))
+    g = grad(Batch(params, *pos.T), np.array([1.0, -2.0]))
     adam.step(g)
     moments = {"e": (np.zeros_like(params.entities), np.zeros_like(params.entities)),
                "r": (np.zeros_like(params.relations), np.zeros_like(params.relations))}
     _per_row_step(reference, moments, 2, g, 0.1)
     assert np.array_equal(params.entities, reference.entities)
     assert np.array_equal(params.relations, reference.relations)
+
+
+def _sparse_grad_bytes(g) -> tuple[bytes, ...]:
+    return (g.entity_ids.tobytes(), g.entity_rows.tobytes(),
+            g.relation_ids.tobytes(), g.relation_rows.tobytes())
+
+
+@pytest.mark.parametrize("reciprocal", [False, True])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_margin_gradient_by_position_equals_the_gathered_batch_bit_for_bit(kind, reciprocal):
+    # train picks the margin loss's contributing triples from the scored batch
+    # by position; gathering them from the tables as a batch of their own must
+    # give the same gradient and the same Adam step, bit for bit
+    ds = _toy_train_dataset(seed=6, n_entities=12, n_train=30)
+    rows, n_relations = ds.train, ds.vocab.n_relations
+    if reciprocal:
+        rows, n_relations = augment_reciprocal(rows, n_relations), 2 * n_relations
+    params = init_params(kind, ds.vocab.n_entities, n_relations, 5, seed=6)
+    rng = np.random.default_rng(6)
+    pos = rows[rng.permutation(len(rows))[:16]]
+    triples = np.concatenate([pos, sample_negatives(pos, 3, np.arange(12), rng)])
+    active_pairs = []
+    for margin in (1e3, 1e-3, -1e3):  # every pair, some pairs, no pair inside the margin
+        batch = Batch(params, *triples.T)
+        s = score(batch)
+        _, positions, upstream = _batch_loss("margin", margin, s[:16], s[16:])
+        active_pairs.append(len(positions) // 2)
+        gathered = grad(Batch(params, *triples[positions].T), upstream)
+        unscored = grad(Batch(params, *triples.T).take(positions), upstream)
+        by_position = grad(batch.take(positions), upstream)
+        assert _sparse_grad_bytes(by_position) == _sparse_grad_bytes(gathered)
+        assert _sparse_grad_bytes(unscored) == _sparse_grad_bytes(gathered)
+        stepped = [params.copy(), params.copy()]
+        for p, g in zip(stepped, (by_position, gathered)):
+            adam = _Adam(p, 0.05)
+            adam.step(g)
+            assert adam.t == 1
+        assert stepped[0].entities.tobytes() == stepped[1].entities.tobytes()
+        assert stepped[0].relations.tobytes() == stepped[1].relations.tobytes()
+    assert active_pairs[0] == 48 and 0 < active_pairs[1] < 48 and active_pairs[2] == 0
 
 
 def _toy_train_dataset(seed=0, n_entities=12, n_train=24):
