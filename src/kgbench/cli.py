@@ -7,13 +7,15 @@ Exit codes are stable so the tool can gate CI pipelines:
 * 64 usage error
 * 65 data error (parse failures, including CRLF line endings and a leading
   UTF-8 byte order mark; duplicate/overlapping splits, degenerate stats,
-  invalid training settings, a training loss that goes non-finite)
+  invalid training settings, a training loss that goes non-finite, a
+  ``compare`` input that is not a fixture CSV or a JSON object of reports)
 * 66 missing input file
 * 73 refusing to (over)write the output directory
 * 74 I/O or checkpoint error (including a checkpoint that does not cover
   the dataset's vocabulary, metadata that is not a JSON object with the
-  expected fields, or whose kind and dim do not fit the table shapes, and
-  label tables that are not one distinct label per row)
+  expected fields (a boolean is not an integer), or whose kind and dim do
+  not fit the table shapes, and label tables that are not one distinct
+  label per row)
 """
 
 from __future__ import annotations
@@ -145,13 +147,23 @@ def _print_test(result, samples) -> None:
           f"± {summary['sd_abs_delta']:.4f} over {summary['n']} pairs")
 
 
+def _report_set(path: str) -> dict:
+    """A report-set JSON file: an object of metrics reports by model."""
+    try:
+        report_set = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from exc
+    if not isinstance(report_set, dict):
+        raise ValueError(f"{path}: a report set is a JSON object of metrics reports by model, "
+                         f"not a {type(report_set).__name__}")
+    return report_set
+
+
 def cmd_compare(args) -> int:
     if args.fixtures:
         samples = load_fixture_pairs(args.fixtures)
     else:
-        set_a, set_b = (json.loads(Path(p).read_text(encoding="utf-8"))
-                        for p in (args.a, args.b))
-        samples = pairs_from_reports(set_a, set_b)
+        samples = pairs_from_reports(*map(_report_set, (args.a, args.b)))
     result = compare_pairs(samples, zero_policy=args.zero_policy)
     _print_test(result.test, samples)
     payload = result.to_json_dict()

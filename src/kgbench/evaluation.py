@@ -32,10 +32,12 @@ query's own target, are set to ``-inf``. A row counts the values above
 ``B`` as scores above the target; the band ``[-B, B]`` (``NaN`` values
 included) is re-scored with ``pair_scores``, each kind's exact formula, in
 the rows where it holds more than the target. So ranks are those of the
-exact scores. ``BLOCK_FLOATS`` bounds a block's size, and a block's scores
-live only while it is ranked. ``filtered_rank_pair`` ranks a split of one
-query. A model whose ``ModelParams.reciprocal`` is set ranks each head as
-the tail of the inverse relation.
+exact scores. ``BLOCK_FLOATS`` bounds a block's size, counting each
+query's scores, its query and, in an entity direction, the relation row it
+gathers (``d*d`` floats for RESCAL); a block's scores live only while it is
+ranked. ``filtered_rank_pair`` ranks a split of one query. A model whose
+``ModelParams.reciprocal`` is set ranks each head as the tail of the
+inverse relation.
 
 What ranking derives from the dataset alone is built once per dataset, on
 the first call that needs it, and reused by every later ``evaluate``,
@@ -66,7 +68,8 @@ OOV_POLICIES = ("include", "exclude")
 TIE_POLICIES = ("mean", "optimistic", "pessimistic")
 HITS_LEVELS = (1, 3, 10)
 
-#: Scores and query values that one ranked block holds, counted in float64s;
+#: Scores, query values and gathered relation values that one ranked block
+#: holds, counted in float64s;
 #: it bounds the memory ranking takes whatever the split's size (1 MiB of
 #: scores at 2**17). Smaller blocks read the candidate table more often.
 BLOCK_FLOATS = 2 ** 17
@@ -216,9 +219,10 @@ def _rank_direction(params: ModelParams, table: ScreenTable, index: FilterIndex,
     known-true candidates, the refusals of a row that is not in the index or
     whose target is not a candidate (the first such row, in row order), and
     the columns outside ``candidates`` (``None``: every column is one). Then
-    each block of as many rows as keep its scores and queries within
-    ``BLOCK_FLOATS`` float64s is ranked by ``_rank_block``, with the filtered
-    candidates other than its rows' targets.
+    each block of as many rows as keep its scores, queries and gathered
+    relation rows within ``BLOCK_FLOATS`` float64s is ranked by
+    ``_rank_block``, with the filtered candidates other than its rows'
+    targets.
     """
     h, r, t = triples.T
     if direction == "tail":
@@ -250,7 +254,8 @@ def _rank_direction(params: ModelParams, table: ScreenTable, index: FilterIndex,
     dropped = (~candidate).nonzero()[0]
     filtered = ~is_target
     query, known = query[filtered], known[filtered]
-    step = max(1, BLOCK_FLOATS // (len(rows) + rows[0].size))
+    gathered = 0 if direction == "relation" else params.relations[0].size
+    step = max(1, BLOCK_FLOATS // (len(rows) + rows[0].size + gathered))
     starts = range(0, len(triples), step)
     # runs groups the pairs by row, so one search splits them by block
     ends = query.searchsorted(starts[1:]).tolist() if len(starts) > 1 else []

@@ -13,7 +13,9 @@ Each model's algebra is written once, as slot queries. Leave one slot of
 that the slot's own row meets in the score. TransE scores the negated
 distance between the two; the others their dot product, so there the query
 is also the score's gradient by that row. ``score``, ``grad`` and
-``score_all_*`` all build on these queries.
+``score_all_*`` all build on these queries. Ranking computes every kind's
+query with ``_query`` alone, element by element or summed in coordinate
+order, so a query does not depend on the others computed with it.
 
 ``score`` and ``grad`` are the two phases of one ``Batch``: its id arrays,
 range-checked once, and the rows they read, gathered once. ``grad`` reuses
@@ -23,10 +25,11 @@ RESCAL's relation sort. ``Batch.take`` picks triples by position, as the
 margin loss picks the pairs inside its margin, without gathering again.
 A batch runs in a few row arrays of its size: ComplEx's query fills the
 halves of one output, RESCAL's entity queries are one bare matrix product
-per relation, written in place, and ``grad`` overwrites the gathered head
-and tail rows with their gradients once no product needs them. Gradient
-rows that share an id are summed by ``np.add.reduceat``; an id met once is
-copied. None of this reorders a floating-point operation.
+per relation, written in place (in training only: such a product may round
+a row by how many rows share its relation), and ``grad`` overwrites the
+gathered head and tail rows with their gradients once no product needs
+them. Gradient rows that share an id are summed by ``np.add.reduceat``; an
+id met once is copied. None of this reorders a floating-point operation.
 
 Candidates are scored with each kind's one exact formula, one term per
 coordinate added in coordinate order (``_exact_scores``), so equal
@@ -217,16 +220,24 @@ def _query(kind: str, dim: int, slot: str, a: np.ndarray, b: np.ndarray) -> np.n
 
     ``a`` and ``b`` are the rows of the other two slots in ``(h, r, t)``
     order: ``(w_r, e_t)`` for ``"h"``, ``(e_h, e_t)`` for ``"r"`` and
-    ``(e_h, w_r)`` for ``"t"``. Each is one row or one row per triple. A
-    RESCAL entity query is one matrix product per relation, which
-    ``_rescal_queries`` computes; here RESCAL takes the relation slot only.
+    ``(e_h, w_r)`` for ``"t"``. Each is one row or one row per triple, and
+    each query row is computed from its own two rows alone: RESCAL's entity
+    query is summed in coordinate order, as ``tests/oracles.rescal_query``
+    sums it. ``Batch`` computes RESCAL's entity queries with
+    ``_rescal_queries`` instead.
     """
     if kind == "distmult":
         return a * b
     if kind == "transe":
         return a + b if slot == "t" else b - a
     if kind == "rescal":
-        return a[..., :, None] * b[..., None, :]
+        if slot == "r":
+            return a[..., :, None] * b[..., None, :]
+        # q_j = sum_k e_k W_kj, k ascending: e_h W_r for "t", e_t W_r^T for
+        # "h". einsum sums W's rows in that order; it sums a contiguous axis
+        # in another, so the head slot's W_r^T is made contiguous first.
+        e, w = (a, b) if slot == "t" else (b, np.ascontiguousarray(np.swapaxes(a, -1, -2)))
+        return np.einsum("...k,...kj->...j", e, w)
     # ComplEx: e_h * w_r for "t", conj(a) * b otherwise. Each half is summed
     # in a contiguous half-width array, then copied into one output: numpy
     # runs a ufunc that writes a strided half several times slower.
@@ -257,17 +268,11 @@ def _queries(params: ModelParams, slot: str, a: np.ndarray, b: np.ndarray) -> np
     """The slot query of each triple, one row per triple.
 
     ``a`` and ``b`` are the id arrays of the other two slots, in ``(h, r, t)``
-    order. RESCAL's relation query is a ``(d, d)`` matrix per triple.
+    order: one gather of each slot's rows, then ``_query``, for every kind.
+    RESCAL's relation query is a ``(d, d)`` matrix per triple, and its
+    entity queries gather a ``(d, d)`` matrix per triple.
     """
     E, R = params.entities, params.relations
-    if params.kind == "rescal" and slot != "r":
-        r, e = (a, b) if slot == "h" else (b, a)
-        order, blocks = _relation_blocks(r)
-        rows = E[e[order]]
-        sorted_queries = np.empty_like(rows)
-        _rescal_queries(R, slot, blocks, rows, sorted_queries)
-        rows[order] = sorted_queries  # rows is no longer needed: it takes the queries unsorted
-        return rows
     a_table, b_table = (E, E) if slot == "r" else (R, E) if slot == "h" else (E, R)
     return _query(params.kind, params.dim, slot, a_table[a], b_table[b])
 
@@ -707,7 +712,8 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:
             raise CheckpointError(f"{path}: unreadable checkpoint entry ({exc})") from exc
     if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    bad = [key for key, typ in _META_FIELDS.items() if not isinstance(meta.get(key), typ)]
+    # JSON's true and false would pass as ints: bool subclasses int
+    bad = [key for key, typ in _META_FIELDS.items() if type(meta.get(key)) is not typ]
     if bad:
         raise CheckpointError(f"{path}: checkpoint metadata lacks a valid {', '.join(bad)}")
     meta["entity_labels"], meta["relation_labels"] = (table.tolist() for table in labels)

@@ -237,14 +237,19 @@ def load_fixture_pairs(source: str | Path) -> list[PairedSample]:
         path = Path(str(resource))
     samples = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            samples.append(
-                PairedSample(
-                    label=f"{row['model']}:{row['metric']}",
-                    before=float(row["original"]),
-                    after=float(row["corrected"]),
-                )
-            )
+        reader = csv.DictReader(fh)
+        missing = [name for name in ("model", "metric", "original", "corrected")
+                   if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: fixture lacks the column(s) {', '.join(missing)}")
+        for row in reader:
+            if None in row.values():
+                raise ValueError(f"{path}: line {reader.line_num} has fewer fields than the header")
+            try:
+                before, after = float(row["original"]), float(row["corrected"])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+            samples.append(PairedSample(f"{row['model']}:{row['metric']}", before, after))
     if not samples:
         raise ValueError(f"{path}: fixture has no rows")
     return samples

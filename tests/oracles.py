@@ -74,6 +74,23 @@ def complex_query(dim: int, slot: str, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return np.concatenate([are * bre + aim * bim, are * bim - aim * bre], axis=-1)
 
 
+def rescal_query(slot: str, e, w) -> list[float]:
+    """RESCAL's entity-slot query by loops over plain lists, each sum in coordinate order.
+
+    ``e`` is the other entity's row and ``w`` the relation's d x d matrix.
+    Slot ``"t"`` (``e = e_h``) is ``q_j = sum_k e_k * w[k][j]``, slot ``"h"``
+    (``e = e_t``) is ``q_k = sum_j w[k][j] * e_j``.
+    """
+    d = len(e)
+    query = []
+    for i in range(d):
+        total = 0.0
+        for k in range(d):
+            total += e[k] * w[k][i] if slot == "t" else w[i][k] * e[k]
+        query.append(total)
+    return query
+
+
 def grad_rows(g) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """A ``SparseGrad`` as ``{entity id: gradient row}`` and ``{relation id: gradient row}``."""
     return (dict(zip(g.entity_ids.tolist(), g.entity_rows)),

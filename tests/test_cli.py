@@ -451,6 +451,15 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
     not_json = tmp_path / "not_json.npz"
     with np.load(model) as z:
         np.savez(not_json, **{**dict(z), "meta": np.array("{kind")})
+    boolean_dim = tmp_path / "boolean_dim.npz"
+    with np.load(model) as z:
+        meta = {**json.loads(str(z["meta"])), "dim": True}
+        np.savez(boolean_dim, **{**dict(z), "meta": np.array(json.dumps(meta))})
+    no_column, short_row = tmp_path / "no_column.csv", tmp_path / "short_row.csv"
+    no_column.write_text("dataset,model,metric,original\nw,M,mrr,0.1\n")
+    short_row.write_text("dataset,model,metric,original,corrected\nw,M,mrr,0.1\n")
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(["m"]))
     report = {"m": {"mrr": 0.4, "hits": {"1": 0.3}}}
     same, other = tmp_path / "same.json", tmp_path / "other.json"
     same.write_text(json.dumps(report))
@@ -483,6 +492,10 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
                                   [("b", "r", "a")])], 65, "overlap"),
         (["compare", "--a", str(same), "--b", str(same)], 65, "degenerate"),
         (["compare", "--a", str(same), "--b", str(other)], 65, "do not cover the same models"),
+        (["compare", "--fixtures", str(no_column)], 65, f"{no_column}: fixture lacks the column"),
+        (["compare", "--fixtures", str(short_row)], 65, f"{short_row}: line 2 has fewer fields"),
+        (["compare", "--a", str(listed), "--b", str(same)], 65, f"{listed}: a report set is"),
+        (["compare", "--a", str(same), "--b", str(listed)], 65, f"{listed}: a report set is"),
         (train(clean, "--model", "transe", "--margin", "0"), 65, "margin must be > 0"),
         (train(oov, "--model", "rescal", "--dim", "4", "--epochs", "5", "--batch-size", "2",
                "--lr", "1e160", "--optimizer", "sgd", "--loss", "logistic"), 65,
@@ -499,6 +512,7 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
         (evaluate(oov, model), 74, "cover"),
         (evaluate(clean, truncated), 74, "not a kgbench checkpoint"),
         (evaluate(clean, not_json), 74, "not JSON"),
+        (evaluate(clean, boolean_dim), 74, "lacks a valid dim"),
         (evaluate(clean, checkpoint(clean, "inf.npz", inf=True)), 74, "non-finite"),
         (evaluate(reordered, extra_entity), 74, "entity labels of shape (4,) (4 distinct) for 3"),
         (evaluate(clean, extra_entity), 74, "entity labels of shape (4,) (4 distinct) for 3"),

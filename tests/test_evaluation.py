@@ -501,7 +501,7 @@ def test_each_ranked_direction_makes_one_filter_lookup(policy, monkeypatch):
         return runs(self, keys, a, b)
 
     monkeypatch.setattr(FilterIndex, "runs", counting_runs)
-    for floats in (1, 60, 2 ** 62):  # 12, 3 and 1 blocks per entity direction
+    for floats in (1, 60, 2 ** 62):  # 12, 4 and 1 blocks per entity direction
         monkeypatch.setattr(evaluation, "BLOCK_FLOATS", floats)
         calls.clear()
         records = rank_records(params, ds, policy=policy)
@@ -596,13 +596,15 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_evaluate_holds_one_block_of_scores_at_a_time(kind):
-    # 2,000 entities make 7 blocks of 64 or 65 queries per direction, each
-    # with a plane of about BLOCK_FLOATS float64s. A plane kept alive while
-    # the next block is screened would double the peak.
+@pytest.mark.parametrize("kind, dim", [(kind, 16) for kind in MODEL_KINDS] + [("rescal", 64)])
+def test_evaluate_holds_one_block_of_scores_at_a_time(kind, dim):
+    # 2,000 entities make 7 or 8 blocks of 57 to 64 queries per direction at
+    # d = 16, each with a plane of about BLOCK_FLOATS float64s. A plane kept
+    # alive while the next block is screened would double the peak. At d =
+    # 64, RESCAL's gathered relation rows are twice as large as the plane
+    # unless the block counts them.
     ds = random_kg(np.random.default_rng(13), 2000, 20, n_train=3000, n_test=400)
-    params = init_params(kind, 2000, 20, 16, seed=13)
+    params = init_params(kind, 2000, 20, dim, seed=13)
     plane = evaluation.BLOCK_FLOATS * 8
     table = screen_table(params, "t").rows.nbytes  # a new array for every kind
     linear = 64 * sum(len(ds.split(name)) for name in ("train", "valid", "test"))
@@ -768,13 +770,25 @@ def test_transe_near_ties_rank_as_the_sorted_exact_scores(dim):
 
 @pytest.mark.parametrize("dim", NEAR_TIE_DIMS)
 @pytest.mark.parametrize("kind", DOT_KINDS)
-def test_dot_product_near_ties_rank_as_the_sorted_exact_scores(kind, dim, monkeypatch):
-    if kind == "rescal":
-        # A RESCAL entity query is a BLAS product whose rounding depends on
-        # the rows it is computed with, and the oracle's rows come from one
-        # query per call: so do the ranked blocks here.
-        monkeypatch.setattr(evaluation, "BLOCK_FLOATS", 1)
+def test_dot_product_near_ties_rank_as_the_sorted_exact_scores(kind, dim):
     _assert_near_ties_rank_as_the_sorted_exact_scores(kind, dim)
+
+
+@pytest.mark.parametrize("dim", NEAR_TIE_DIMS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_near_tie_ranks_do_not_depend_on_the_block_size(kind, dim, monkeypatch):
+    # Every query is computed alone, in coordinate order, whatever else its
+    # block holds: so are ranks between scores one float step apart.
+    rng = np.random.default_rng(dim)
+    ds = random_kg(rng, 12, 3, n_train=30, n_test=20)
+    for scale in (1e-3, 1.0, 1e3):
+        params = _near_tie_params(rng, kind, dim, ds.vocab.n_entities, ds.vocab.n_relations,
+                                  scale)
+        records = []
+        for floats in (1, 60, 2 ** 62):
+            monkeypatch.setattr(evaluation, "BLOCK_FLOATS", floats)
+            records.append(rank_records(params, ds))
+        assert records[0] == records[1] == records[2], scale
 
 
 @pytest.mark.parametrize("cut", [0.0, 1 / 1024])
@@ -784,8 +798,6 @@ def test_near_ties_mis_rank_when_the_screen_bound_is_cut(kind, cut, monkeypatch)
     # screen's constant cut to 0, or to 1/1024 of itself, some dimension's
     # ranks differ from the sorted exact scores.
     monkeypatch.setattr(models, "_SCREEN_ULPS", models._SCREEN_ULPS * cut)
-    if kind == "rescal":
-        monkeypatch.setattr(evaluation, "BLOCK_FLOATS", 1)  # as in the near-tie test
     for dim in NEAR_TIE_DIMS:
         try:
             _assert_near_ties_rank_as_the_sorted_exact_scores(kind, dim)
@@ -837,14 +849,13 @@ def test_transe_ranks_where_the_screen_overflows_equal_the_sorted_exact_scores()
     _assert_overflowing_screen_ranks_as_the_sorted_exact_scores(params, ds)
 
 
-def _large_dot_params(kind, rng, ds, relation_scale, monkeypatch):
+def _large_dot_params(kind, rng, ds, relation_scale):
     """Entity coordinates near +-1e153 and relation coordinates near
     +-``relation_scale``, so every score is finite."""
     n_e, n_r = ds.vocab.n_entities, ds.vocab.n_relations
     entities = (rng.choice([-1.0, 1.0], size=(n_e, 16))
                 * (1e153 + rng.normal(scale=1e151, size=(n_e, 16))))
     if kind == "rescal":
-        monkeypatch.setattr(evaluation, "BLOCK_FLOATS", 1)  # as in the near-tie test
         relations = relation_scale * np.eye(16) + rng.normal(scale=1e-2, size=(n_r, 16, 16))
     else:
         relations = rng.choice([-1.0, 1.0], size=(n_r, 16)) * (relation_scale + rng.normal(
@@ -853,14 +864,13 @@ def _large_dot_params(kind, rng, ds, relation_scale, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", DOT_KINDS)
-def test_dot_product_ranks_where_the_screen_overflows_equal_the_sorted_exact_scores(
-        kind, monkeypatch):
+def test_dot_product_ranks_where_the_screen_overflows_equal_the_sorted_exact_scores(kind):
     # Each product q_k * e_k is near 5e306, so |q| * max |e| is past an eighth
     # of the largest float and the screen sends every row to the band, though
     # every exact score is finite: those rows are re-scored exactly.
     rng = np.random.default_rng(4)
     ds = random_kg(rng, 10, 2, n_train=20, n_test=6)
-    params = _large_dot_params(kind, rng, ds, 5.0, monkeypatch)
+    params = _large_dot_params(kind, rng, ds, 5.0)
     h, r, t = ds.test.T
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(screen(params, screen_table(params, "t"), "t", h, r, t)[0]).all()
@@ -869,14 +879,14 @@ def test_dot_product_ranks_where_the_screen_overflows_equal_the_sorted_exact_sco
 
 @pytest.mark.parametrize("kind", DOT_KINDS)
 def test_dot_product_ranks_where_the_bound_nears_the_largest_float_equal_the_sorted_exact_scores(
-        kind, monkeypatch):
+        kind):
     # |q| * max |e| is 1.3e307 to 1.8e307, below an eighth of the largest
     # float, so the block is screened; but 17 times it is not finite.
     # The bound must stay finite, or the -inf filtered columns fall in its
     # band and are counted as candidates.
     rng = np.random.default_rng(4)
     ds = random_kg(rng, 10, 2, n_train=20, n_test=6)
-    params = _large_dot_params(kind, rng, ds, 0.8, monkeypatch)
+    params = _large_dot_params(kind, rng, ds, 0.8)
     h, r, t = ds.test.T
     plane, _, bound = screen(params, screen_table(params, "t"), "t", h, r, t)
     assert np.isfinite(plane).all() and np.isfinite(bound)
