@@ -156,6 +156,10 @@ def _report_set(path: str) -> dict:
     if not isinstance(report_set, dict):
         raise ValueError(f"{path}: a report set is a JSON object of metrics reports by model, "
                          f"not a {type(report_set).__name__}")
+    for model, report in report_set.items():
+        if not (isinstance(report, dict) and {"mrr", "hits"} <= report.keys()):
+            raise ValueError(f"{path}: model {model}: not a metrics report, which is a JSON "
+                             "object with mrr and hits")
     return report_set
 
 

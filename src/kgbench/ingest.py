@@ -17,7 +17,10 @@ label column is mapped to ids.
 No line is dropped or merged on the way in: only trailing blank lines
 are skipped, and a repeated triple is refused, so row ``i`` of a loaded
 split is line ``i + 1`` of its file and a corrected copy is its original
-minus whole lines.
+minus whole lines. A split file may be empty (0 bytes or blank lines
+only) and loads as a ``(0, 3)`` split, so a correction that removes every
+line of a split still loads back; the layers that need rows (training,
+ranking, degree statistics) refuse an empty split themselves.
 """
 
 from __future__ import annotations
@@ -52,7 +55,10 @@ class EncodingError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetLayout:
-    """Location and format of one benchmark's split files, ``{split}.txt``."""
+    """Location and format of one benchmark's split files, ``{split}.txt``.
+
+    :meth:`check` requires all three files to exist; any of them may be empty.
+    """
 
     dir: Path
     separator: str = "tab"  # "tab" | "ws"
@@ -65,8 +71,6 @@ class DatasetLayout:
             p = self.path(split)
             if not p.is_file():
                 raise FileNotFoundError(f"missing split file: {p}")
-            if p.stat().st_size == 0:
-                raise DatasetError(f"split file is empty: {p}")
 
 
 def parse_triples(data: bytes, separator: str = "tab",

@@ -28,8 +28,10 @@ halves of one output, RESCAL's entity queries are one bare matrix product
 per relation, written in place (in training only: such a product may round
 a row by how many rows share its relation), and ``grad`` overwrites the
 gathered head and tail rows with their gradients once no product needs
-them. Gradient rows that share an id are summed by ``np.add.reduceat``; an
-id met once is copied. None of this reorders a floating-point operation.
+them. RESCAL's ``grad`` makes one pass over the relation blocks: per
+block, the relation gradient, then the head queries ``e_t W_r^T``.
+Gradient rows that share an id are summed by ``np.add.reduceat``; an id
+met once is copied. None of this reorders a floating-point operation.
 
 Candidates are scored with each kind's one exact formula, one term per
 coordinate added in coordinate order (``_exact_scores``), so equal
@@ -223,8 +225,8 @@ def _query(kind: str, dim: int, slot: str, a: np.ndarray, b: np.ndarray) -> np.n
     ``(e_h, w_r)`` for ``"t"``. Each is one row or one row per triple, and
     each query row is computed from its own two rows alone: RESCAL's entity
     query is summed in coordinate order, as ``tests/oracles.rescal_query``
-    sums it. ``Batch`` computes RESCAL's entity queries with
-    ``_rescal_queries`` instead.
+    sums it. ``Batch`` and ``grad`` compute RESCAL's entity queries as one
+    matrix product per relation block instead.
     """
     if kind == "distmult":
         return a * b
@@ -249,19 +251,6 @@ def _query(kind: str, dim: int, slot: str, a: np.ndarray, b: np.ndarray) -> np.n
     np.multiply(are, bim, out=half)
     out[..., dim:] = second(half, np.multiply(aim, bre, out=scratch), out=half)
     return out
-
-
-def _rescal_queries(R: np.ndarray, slot: str, blocks: list[tuple[int, slice]], rows: np.ndarray,
-                    out: np.ndarray) -> None:
-    """RESCAL's entity-slot queries of relation-sorted rows, written into ``out``.
-
-    ``rows`` are the other entity's rows in the order ``_relation_blocks``
-    sorted them, ``blocks`` its ``(relation id, slice)`` pairs. Slot ``"h"``
-    is ``e_t @ W_r.T`` and ``"t"`` is ``e_h @ W_r``: one matrix product per
-    relation, with no ``(m, d, d)`` gather.
-    """
-    for rel, block in blocks:
-        np.matmul(rows[block], R[rel].T if slot == "h" else R[rel], out=out[block])
 
 
 def _queries(params: ModelParams, slot: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -352,9 +341,10 @@ class Batch:
         if self.query is None:
             params, m = self.params, len(self)
             head_rows = self.rows[:m]
-            if params.kind == "rescal":
+            if params.kind == "rescal":  # e_h W_r, one matrix product per relation block
                 self.query = np.empty_like(head_rows)
-                _rescal_queries(params.relations, "t", self.blocks, head_rows, self.query)
+                for rel, block in self.blocks:
+                    np.matmul(head_rows[block], params.relations[rel], out=self.query[block])
             else:
                 self.query = _query(params.kind, params.dim, "t", head_rows, self.relation_rows)
             if params.kind == "transe":
@@ -630,9 +620,11 @@ def grad(batch: Batch, upstream=1.0) -> SparseGrad:
         relation_ids = np.array([rel for rel, _ in blocks], dtype=np.int64)
         relation_rows = np.empty((len(blocks),) + R.shape[1:])
         scaled = u * eh
-        for i, (_, block) in enumerate(blocks):  # sum of u * outer(e_h, e_t)
+        for i, (rel, block) in enumerate(blocks):
+            # the sum of u * outer(e_h, e_t); then the block's scaled rows are
+            # done with, and take its head queries e_t W_r^T
             np.matmul(scaled[block].T, et[block], out=relation_rows[i])
-        _rescal_queries(R, "h", blocks, et, scaled)  # scaled is done with: it takes g_h
+            np.matmul(et[block], R[rel].T, out=scaled[block])
         np.multiply(u, scaled, out=eh)
         np.multiply(q, u, out=et)
         del scaled
@@ -692,24 +684,26 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:
     The returned metadata carries ``entity_labels``/``relation_labels`` lists
     in addition to the stored JSON fields.
     """
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, ValueError) as exc:  # truncated, or not an .npz at all
-        raise CheckpointError(f"{path}: not a kgbench checkpoint ({exc})") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
-        raise CheckpointError(f"{path}: not a kgbench checkpoint (a single array)")
-    with data:
+    # numpy leaves a file it opened itself open when it fails to read it
+    with open(path, "rb") as fh:
         try:
-            meta = json.loads(str(data["meta"]))
-            entities = np.asarray(data["entities"], dtype=np.float64)
-            relations = np.asarray(data["relations"], dtype=np.float64)
-            labels = data["entity_labels"], data["relation_labels"]
-        except KeyError as exc:
-            raise CheckpointError(f"{path}: missing checkpoint entry {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path}: checkpoint metadata is not JSON ({exc})") from exc
-        except ValueError as exc:  # e.g. an object array, which only pickle can load
-            raise CheckpointError(f"{path}: unreadable checkpoint entry ({exc})") from exc
+            data = np.load(fh, allow_pickle=False)
+        except (zipfile.BadZipFile, EOFError, ValueError) as exc:  # truncated, empty, not .npz
+            raise CheckpointError(f"{path}: not a kgbench checkpoint ({exc})") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
+            raise CheckpointError(f"{path}: not a kgbench checkpoint (a single array)")
+        with data:
+            try:
+                meta = json.loads(str(data["meta"]))
+                entities = np.asarray(data["entities"], dtype=np.float64)
+                relations = np.asarray(data["relations"], dtype=np.float64)
+                labels = data["entity_labels"], data["relation_labels"]
+            except KeyError as exc:
+                raise CheckpointError(f"{path}: missing checkpoint entry {exc}") from exc
+            except json.JSONDecodeError as exc:
+                raise CheckpointError(f"{path}: checkpoint metadata is not JSON ({exc})") from exc
+            except ValueError as exc:  # e.g. an object array, which only pickle can load
+                raise CheckpointError(f"{path}: unreadable checkpoint entry ({exc})") from exc
     if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     # JSON's true and false would pass as ints: bool subclasses int

@@ -277,8 +277,6 @@ def reference_load(directory: Path, separator: str
     for path in paths:
         if not path.is_file():
             raise FileNotFoundError(f"missing split file: {path}")
-        if path.stat().st_size == 0:
-            raise DatasetError(f"split file is empty: {path}")
     labeled = [reference_parse(path.read_bytes(), separator, str(path)) for path in paths]
     entities: dict[str, None] = {}
     relations: dict[str, None] = {}

@@ -130,6 +130,30 @@ def test_correct_writes_and_refuses(oov_dir, tmp_path, capsys):
                  "--force"]) == 73
 
 
+def test_a_correction_that_empties_a_split_loads_back(tmp_path, capsys):
+    """Every valid line is OOV-affected, so ``correct`` writes a 0-byte valid.txt.
+
+    The copy audits clean and trains; only evaluating the emptied split is
+    refused, by the ranking layer.
+    """
+    raw = write_split_files(tmp_path / "raw", train=[("a", "p", "b"), ("b", "p", "c")],
+                            valid=[("a", "p", "ghost")], test=[("c", "p", "a")])
+    fixed = tmp_path / "fixed"
+    assert main(["correct", "--data", str(raw), "--out", str(fixed)]) == 0
+    assert (fixed / "valid.txt").read_bytes() == b""
+    audit_json = tmp_path / "audit.json"
+    assert main(["audit", "--data", str(fixed), "--json", str(audit_json)]) == 0
+    schema = json.loads((SCHEMA_DIR / "audit_report.schema.json").read_text())
+    jsonschema.validate(json.loads(audit_json.read_text()), schema)
+    ckpt = tmp_path / "model.npz"
+    assert _train(fixed, ckpt, tmp_path) == 0
+    evaluate = ["eval", "--data", str(fixed), "--checkpoint", str(ckpt), "--split"]
+    assert main([*evaluate, "test"]) == 0
+    capsys.readouterr()
+    assert main([*evaluate, "valid"]) == 65
+    assert "no valid triples left to evaluate" in capsys.readouterr().err
+
+
 def _train(data_dir, ckpt, tmp_path, extra=()):
     return main(["train", "--data", str(data_dir), "--model", "distmult",
                  "--dim", "4", "--epochs", "2", "--batch-size", "4",
@@ -448,6 +472,8 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
                                 "reciprocal_labels.npz", relation_labels=["p", "q"])
     truncated = tmp_path / "truncated.npz"
     truncated.write_bytes(model.read_bytes()[:100])
+    empty_checkpoint = tmp_path / "empty.npz"
+    empty_checkpoint.write_bytes(b"")
     not_json = tmp_path / "not_json.npz"
     with np.load(model) as z:
         np.savez(not_json, **{**dict(z), "meta": np.array("{kind")})
@@ -461,6 +487,9 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
     listed = tmp_path / "listed.json"
     listed.write_text(json.dumps(["m"]))
     report = {"m": {"mrr": 0.4, "hits": {"1": 0.3}}}
+    number, no_hits = tmp_path / "number.json", tmp_path / "no_hits.json"
+    number.write_text(json.dumps({"m": 3}))
+    no_hits.write_text(json.dumps({"m": {"mrr": 0.4}}))
     same, other = tmp_path / "same.json", tmp_path / "other.json"
     same.write_text(json.dumps(report))
     other.write_text(json.dumps({"n": report["m"]}))
@@ -485,7 +514,6 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
         (["audit", "--data", raw("crlf", b"a\tr\tb\r\n")], 65, "LF line endings"),
         (["audit", "--data", raw("bom", b"\xef\xbb\xbfa\tr\tb\n")], 65, "byte order mark"),
         (["audit", "--data", raw("latin1", b"a\tr\t\xe9\n")], 65, "not valid UTF-8"),
-        (["audit", "--data", raw("empty", b"")], 65, "empty"),
         (["audit", "--data", data("dup", [("a", "r", "b"), ("a", "r", "b")], [("b", "r", "a")],
                                   [("c", "r", "a")])], 65, "duplicate"),
         (["audit", "--data", data("overlap", [("a", "r", "b")], [("a", "r", "b")],
@@ -496,7 +524,12 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
         (["compare", "--fixtures", str(short_row)], 65, f"{short_row}: line 2 has fewer fields"),
         (["compare", "--a", str(listed), "--b", str(same)], 65, f"{listed}: a report set is"),
         (["compare", "--a", str(same), "--b", str(listed)], 65, f"{listed}: a report set is"),
+        (["compare", "--a", str(number), "--b", str(same)], 65,
+         f"{number}: model m: not a metrics report"),
+        (["compare", "--a", str(same), "--b", str(no_hits)], 65,
+         f"{no_hits}: model m: not a metrics report"),
         (train(clean, "--model", "transe", "--margin", "0"), 65, "margin must be > 0"),
+        (train(raw("empty", b"")), 65, "train split is empty"),
         (train(oov, "--model", "rescal", "--dim", "4", "--epochs", "5", "--batch-size", "2",
                "--lr", "1e160", "--optimizer", "sgd", "--loss", "logistic"), 65,
          "non-finite loss"),
@@ -511,6 +544,7 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
         (["correct", "--data", oov, "--out", oov, "--force"], 73, "in place"),
         (evaluate(oov, model), 74, "cover"),
         (evaluate(clean, truncated), 74, "not a kgbench checkpoint"),
+        (evaluate(clean, empty_checkpoint), 74, "not a kgbench checkpoint"),
         (evaluate(clean, not_json), 74, "not JSON"),
         (evaluate(clean, boolean_dim), 74, "lacks a valid dim"),
         (evaluate(clean, checkpoint(clean, "inf.npz", inf=True)), 74, "non-finite"),

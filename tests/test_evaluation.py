@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kgbench import (
     FilterIndex,
@@ -263,25 +263,35 @@ def test_exclude_equals_corrected_include(tmp_path, kind):
 @st.composite
 def _oov_kgs(draw):
     """Labeled (train, valid, test) whose valid/test draw on entities and a
-    relation that train may lack; each split keeps one in-vocabulary triple
-    so that the corrected split files are never empty."""
+    relation that train may lack, so any split, train included, may be empty
+    and the correction may empty a valid or test split."""
     ents = [f"e{i}" for i in range(draw(st.integers(2, 6)))]
     rels = [f"r{i}" for i in range(draw(st.integers(1, 3)))]
-    train_0, valid_0, test_0 = ("e0", "r0", "e1"), ("e1", "r0", "e0"), ("e0", "r0", "e0")
-    fixed = {train_0, valid_0, test_0}
 
     def triples(e, r):
-        return st.tuples(st.sampled_from(e), st.sampled_from(r), st.sampled_from(e)).filter(
-            lambda tr: tr not in fixed)
+        return st.tuples(st.sampled_from(e), st.sampled_from(r), st.sampled_from(e))
 
-    train = [train_0] + draw(st.lists(triples(ents, rels), max_size=12, unique=True))
+    train = draw(st.lists(triples(ents, rels), max_size=12, unique=True))
     seen = set(train)
     held_out = draw(st.lists(triples(ents + ["o0", "o1"], rels + ["q"]).filter(
         lambda tr: tr not in seen), max_size=10, unique=True))
     cut = draw(st.integers(0, len(held_out)))
-    return train, [valid_0] + held_out[:cut], [test_0] + held_out[cut:]
+    return train, held_out[:cut], held_out[cut:]
 
 
+def _report_or_error(fn):
+    """What ``fn()`` returns, or ``EvaluationError`` if it raises one."""
+    try:
+        return fn()
+    except EvaluationError:
+        return EvaluationError
+
+
+# the correction empties valid (wholly OOV) but keeps test; then a KG whose
+# train split is empty, so that every held-out triple is OOV
+@example(([("e0", "r0", "e1")], [("o0", "r0", "e1"), ("e0", "q", "e1")], [("e1", "r0", "e0")]),
+         "rescal", "mean", False, 0)
+@example(([], [("e0", "r0", "e1")], [("e1", "r0", "e0")]), "transe", "optimistic", True, 1)
 @given(_oov_kgs(), st.sampled_from(MODEL_KINDS),
        st.sampled_from(["mean", "optimistic", "pessimistic"]), st.booleans(), st.integers(0, 2**16))
 @settings(max_examples=15)
@@ -295,13 +305,15 @@ def test_exclude_equals_corrected_include_property(kg, kind, tie, reciprocal, se
                      reciprocal=reciprocal)
     params_corr = align_params_to_vocab(params, list(raw.vocab.entities),
                                         list(raw.vocab.relations), corrected.vocab)
+
+    def metrics(p, ds, split, policy):
+        report = evaluate(p, ds, split, policy, tie)
+        return (report.mrr, report.hits, report.n_triples,
+                {ds.vocab.relation_label(r): v for r, v in report.per_relation_mrr.items()})
+
     for split in ("valid", "test"):
-        a = evaluate(params, raw, split, "exclude", tie)
-        b = evaluate(params_corr, corrected, split, "include", tie)
-        assert (a.mrr, a.hits, a.n_triples) == (b.mrr, b.hits, b.n_triples)
-        per_a = {raw.vocab.relation_label(r): v for r, v in a.per_relation_mrr.items()}
-        per_b = {corrected.vocab.relation_label(r): v for r, v in b.per_relation_mrr.items()}
-        assert per_a == per_b
+        assert _report_or_error(lambda: metrics(params, raw, split, "exclude")) == \
+            _report_or_error(lambda: metrics(params_corr, corrected, split, "include"))
 
 
 def test_exclude_policy_ignores_oov_parameter_rows(tmp_path):

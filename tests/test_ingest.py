@@ -99,7 +99,7 @@ def _split_files(draw, separator: str) -> list[bytes]:
     cut = sorted(draw(st.lists(st.integers(0, len(rows)), min_size=2, max_size=2)))
     splits = [rows[:cut[0]], rows[cut[0]:cut[1]], rows[cut[1]:]]
     fault = draw(st.sampled_from([None] * 4 + ["2 fields", "4 fields", "blank", "repeat",
-                                              "\r", "bom", "\xff", "empty"]))
+                                              "\r", "bom", "\xff"]))
     k = draw(st.integers(0, 2))
     if fault in ("2 fields", "4 fields", "blank") and splits[k]:
         i = draw(st.integers(0, len(splits[k]) - 1))
@@ -109,15 +109,13 @@ def _split_files(draw, separator: str) -> list[bytes]:
         splits[k].insert(draw(st.integers(0, len(splits[k]))), draw(st.sampled_from(rows)))
     joins = st.just("\t") if separator == "tab" else st.sampled_from(["\t", " ", " \t\x0b"])
     files = [("\n".join(draw(joins).join(row) for row in split)
-              + "\n" * draw(st.integers(0 if split else 1, 2))).encode()
+              + "\n" * draw(st.integers(0, 2))).encode()
              for split in splits]
     if fault == "bom":
         files[k] = "\ufeff".encode() + files[k]
     elif fault in ("\r", "\xff"):
         at = draw(st.integers(0, len(files[k])))
         files[k] = files[k][:at] + fault.encode("latin-1") + files[k][at:]
-    elif fault == "empty":
-        files[k] = b""
     return files
 
 
@@ -173,10 +171,17 @@ def test_load_dataset_missing_file(tmp_path):
 
 
 def test_load_dataset_empty_file(tmp_path):
+    """A 0-byte split file and one of a single LF both load as the same (0, 3) split."""
     d = _toy_files(tmp_path)
-    (d / "test.txt").write_text("")
-    with pytest.raises(DatasetError, match="empty"):
-        load_dataset(DatasetLayout(dir=d))
+    loaded = []
+    for text in (b"", b"\n"):
+        (d / "test.txt").write_bytes(text)
+        loaded.append(load_dataset(DatasetLayout(dir=d)))
+    for ds in loaded:
+        assert ds.test.shape == (0, 3) and ds.test.dtype == np.int64
+    assert loaded[0].vocab == loaded[1].vocab
+    for split in ("train", "valid", "test"):
+        assert np.array_equal(loaded[0].split(split), loaded[1].split(split))
 
 
 def test_load_dataset_duplicate_triple_rejected(tmp_path):
