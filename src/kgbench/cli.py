@@ -157,10 +157,21 @@ def _report_set(path: str) -> dict:
         raise ValueError(f"{path}: a report set is a JSON object of metrics reports by model, "
                          f"not a {type(report_set).__name__}")
     for model, report in report_set.items():
+        where = f"{path}: model {model}"
         if not (isinstance(report, dict) and {"mrr", "hits"} <= report.keys()):
-            raise ValueError(f"{path}: model {model}: not a metrics report, which is a JSON "
-                             "object with mrr and hits")
+            raise ValueError(f"{where}: not a metrics report, which is a JSON object with mrr "
+                             "and hits")
+        if not _is_number(report["mrr"]):
+            raise ValueError(f"{where}: mrr is not a number: {report['mrr']!r}")
+        hits = report["hits"]
+        if not (isinstance(hits, dict) and all(map(_is_number, hits.values()))):
+            raise ValueError(f"{where}: hits is not a JSON object of numbers: {hits!r}")
     return report_set
+
+
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number; ``true`` and ``false`` are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def cmd_compare(args) -> int:

@@ -22,8 +22,8 @@ Hits@N counts ties at the boundary as misses.
 Ranking works one direction of a split at a time, the same way for every
 model kind. One vectorised lookup of the ``FilterIndex`` key arrays gives
 every query's known-true candidates, and the refusals (a triple not in the
-index, a target that is not a candidate) run once, on the whole split. Then
-the split is ranked a block of queries at a time: one ``screen`` call
+index, a target that is not a candidate) run on the whole split, once per
+dataset (see below). Then the split is ranked a block of queries at a time: one ``screen`` call
 approximates, with one matrix product, every candidate score of the block
 less its query's target score, and gives the block one bound ``B``, wide
 enough to cover every rounding (the proof is in ``models``). The block's
@@ -41,20 +41,35 @@ inverse relation.
 
 What ranking derives from the dataset alone is built once per dataset, on
 the first call that needs it, and reused by every later ``evaluate``,
-``evaluate_relation_prediction`` and ``rank_records`` call on it: the
-``FilterIndex`` and, on the first ``exclude`` call, each evaluation split's
-rows that ``detect_oov`` leaves and the train split's entity and relation
-ids. A ``SplitDataset`` is frozen, its arrays are read-only and it compares
-by identity, so the dataset object fixes what it holds. The set-up is kept in a dictionary keyed weakly by the
-dataset: it lives as long as the dataset and is freed with it. Most of it
-is the index's three int64 key arrays, 24 bytes per triple (about 26 MB
-for YAGO3-10's 1.09M triples).
+``evaluate_relation_prediction`` and ``rank_records`` call on it, whatever
+the model:
+
+* the ``FilterIndex``;
+* on the first ``exclude`` call, each evaluation split's rows that
+  ``detect_oov`` leaves and the train split's entity and relation ids;
+* each ranked direction's filter lookup, read-only and after its refusals:
+  the known-true candidates of every query but its own target, and the
+  candidate table's ids that are not candidates. It is keyed by split,
+  policy, direction and the candidate table's row count, since a
+  reciprocal checkpoint has twice the relation rows and a checkpoint may
+  have entity rows beyond the vocabulary, which are never candidates.
+
+So the first model ranked on a dataset pays for the lookups, and every
+later one only ranks its blocks. A ``SplitDataset`` is frozen, its arrays
+are read-only and it compares by identity, so the dataset object fixes what
+it holds. The set-up is kept in a dictionary keyed weakly by the dataset:
+it lives as long as the dataset and is freed with it. The index takes 24
+bytes per triple (about 26 MB for YAGO3-10's 1.09M triples); a lookup 16
+bytes per filtered pair plus 8 per id that is not a candidate. At the
+``perfbench/gen.py`` full shapes (seed 3), the six lookups of the test
+split (both policies, three directions) take 47 KB at ``fb15k-237`` and
+0.4 KB at ``wn18rr``, against 459 and 499 KB for the index.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -210,29 +225,25 @@ def _rank_block(params: ModelParams, table: ScreenTable, slot: str, a: np.ndarra
     return _ranks(params, slot, plane, queries, bound, targets, tie)
 
 
-def _rank_direction(params: ModelParams, table: ScreenTable, index: FilterIndex,
-                    triples: np.ndarray, direction: str, tie: str,
-                    candidates: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Filtered (MRR ranks, Hits ranks) of one slot of each row of ``triples``.
+def _filter_lookup(index: FilterIndex, triples: np.ndarray, direction: str, n_rows: int,
+                   candidates: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The filter lookup of one slot of each row of ``triples``: ``(query, known, dropped)``.
 
-    Once for all rows: one ``FilterIndex.runs`` lookup of every row's
-    known-true candidates, the refusals of a row that is not in the index or
-    whose target is not a candidate (the first such row, in row order), and
-    the columns outside ``candidates`` (``None``: every column is one). Then
-    each block of as many rows as keep its scores, queries and gathered
-    relation rows within ``BLOCK_FLOATS`` float64s is ranked by
-    ``_rank_block``, with the filtered candidates other than its rows'
-    targets.
+    One ``FilterIndex.runs`` lookup gives every row's known-true candidates,
+    then come the refusals of a row that is not in the index or whose target
+    is not a candidate (the first such row, in row order). ``query[i]`` is a
+    row and ``known[i]`` one of its known-true candidates other than its
+    target, grouped by row in ascending order; ``dropped`` holds the ids of
+    the ``n_rows`` candidate table rows outside ``candidates`` (``None``:
+    every row is one). The arrays are read-only. It reads only the dataset,
+    so ``_rank_split`` keeps it in the dataset's set-up.
     """
     h, r, t = triples.T
     if direction == "tail":
-        slot, a, b = "t", h, r
         keys, fixed, targets = index.triples, (h, r), t
     elif direction == "head":
-        slot, a, b = ("t", t, _inverse_relations(params, r)) if params.reciprocal else ("h", r, t)
         keys, fixed, targets = index.by_rt, (r, t), h
     elif direction == "relation":
-        slot, a, b = "r", h, t
         keys, fixed, targets = index.by_ht, (h, t), r
     else:
         raise ValueError(f"unknown direction {direction!r}")
@@ -245,19 +256,43 @@ def _rank_direction(params: ModelParams, table: ScreenTable, index: FilterIndex,
             f"triple {tuple(triples[found.argmin()].tolist())} is not in the filter index; "
             f"refusing to rank against unfiltered data"
         )
-    rows = params.relations if direction == "relation" else params.entities
-    candidate = np.zeros(len(rows), dtype=bool)
+    candidate = np.zeros(n_rows, dtype=bool)
     candidate[slice(None) if candidates is None else candidates] = True
     if not candidate[targets].all():
         outside = targets[~candidate[targets]][0]
         raise EvaluationError(f"target id {outside} is not in the candidate set")
-    dropped = (~candidate).nonzero()[0]
     filtered = ~is_target
-    query, known = query[filtered], known[filtered]
+    lookup = query[filtered], known[filtered], (~candidate).nonzero()[0]
+    for array in lookup:
+        array.flags.writeable = False
+    return lookup
+
+
+def _rank_direction(params: ModelParams, table: ScreenTable, triples: np.ndarray,
+                    direction: str, tie: str,
+                    lookup: tuple[np.ndarray, np.ndarray, np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Filtered (MRR ranks, Hits ranks) of one slot of each row of ``triples``.
+
+    ``lookup`` is the direction's ``_filter_lookup``. Each block of as many
+    rows as keep its scores, queries and gathered relation rows within
+    ``BLOCK_FLOATS`` float64s is ranked by ``_rank_block``, with the
+    filtered candidates of its rows.
+    """
+    h, r, t = triples.T
+    if direction == "tail":
+        slot, a, b, targets = "t", h, r, t
+    elif direction == "head":
+        slot, a, b = ("t", t, _inverse_relations(params, r)) if params.reciprocal else ("h", r, t)
+        targets = h
+    else:
+        slot, a, b, targets = "r", h, t, r
+    query, known, dropped = lookup
+    rows = params.relations if direction == "relation" else params.entities
     gathered = 0 if direction == "relation" else params.relations[0].size
     step = max(1, BLOCK_FLOATS // (len(rows) + rows[0].size + gathered))
     starts = range(0, len(triples), step)
-    # runs groups the pairs by row, so one search splits them by block
+    # the lookup groups the pairs by row, so one search splits them by block
     ends = query.searchsorted(starts[1:]).tolist() if len(starts) > 1 else []
     ranks = np.empty(len(triples))
     hits_ranks = np.empty(len(triples), dtype=np.int64)
@@ -287,20 +322,24 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
     id_arrays(params, h=triple[:, 0], r=triple[:, 1], t=triple[:, 2])
     _check_params_finite(params)
     table = screen_table(params, "r" if direction == "relation" else "t")
-    rank, hits_rank = _rank_direction(params, table, index, triple, direction, tie,
-                                      candidates)
+    lookup = _filter_lookup(index, triple, direction, len(table.rows), candidates)
+    rank, hits_rank = _rank_direction(params, table, triple, direction, tie, lookup)
     return float(rank[0]), int(hits_rank[0])
 
 
 @dataclass
 class _Setup:
-    """A dataset's ranking set-up: its filter index and, once an ``exclude``
+    """A dataset's ranking set-up: its filter index; once an ``exclude``
     call has needed them, the evaluation splits' rows kept under ``exclude``
-    and the train split's entity and relation ids."""
+    and the train split's entity and relation ids; and each ranked
+    direction's ``_filter_lookup``, keyed by ``(split, policy, direction,
+    candidate table rows)``."""
 
     index: FilterIndex
     kept: dict[str, np.ndarray] | None = None
     train_ids: tuple[np.ndarray, np.ndarray] | None = None
+    lookups: dict[tuple[str, str, str, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = (
+        field(default_factory=dict))
 
 
 #: Each dataset's ``_Setup``; an entry goes when its dataset does.
@@ -365,8 +404,15 @@ def _rank_split(params: ModelParams, dataset: SplitDataset, split: str, policy: 
             slot, candidates = "t", ent_candidates
         if slot not in tables:
             tables[slot] = screen_table(params, slot)
+        # the table's row count is the model's: reciprocal checkpoints have
+        # more relation rows, and a checkpoint may have more entity rows
+        key = (split, policy, direction, len(tables[slot].rows))
+        lookup = setup.lookups.get(key)
+        if lookup is None:
+            lookup = setup.lookups[key] = _filter_lookup(setup.index, triples, direction,
+                                                         key[3], candidates)
         ranks[:, j], hits_ranks[:, j] = _rank_direction(
-            params, tables[slot], setup.index, triples, direction, tie, candidates)
+            params, tables[slot], triples, direction, tie, lookup)
     return triples, ranks, hits_ranks
 
 
@@ -376,14 +422,14 @@ def _report(triples: np.ndarray, ranks: np.ndarray, hits_ranks: np.ndarray, poli
     n, slots = ranks.shape
     rr = (1.0 / ranks).sum(axis=1)
     rels = triples[:, 1]
-    rel_rr = np.bincount(rels, weights=rr)
     rel_n = np.bincount(rels)
+    present = np.flatnonzero(rel_n)
+    rel_mrr = np.bincount(rels, weights=rr)[present] / (slots * rel_n[present])
     return MetricsReport(
         mrr=float(rr.sum()) / (slots * n),
         hits={lvl: int(np.count_nonzero(hits_ranks <= lvl)) / (slots * n)
               for lvl in HITS_LEVELS},
-        per_relation_mrr={rid: float(rel_rr[rid]) / (slots * int(rel_n[rid]))
-                          for rid in np.flatnonzero(rel_n).tolist()},
+        per_relation_mrr=dict(zip(present.tolist(), rel_mrr.tolist())),
         n_triples=n,
         policy=policy,
         direction=direction,

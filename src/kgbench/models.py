@@ -217,7 +217,8 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=1)
 
 
-def _query(kind: str, dim: int, slot: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _query(kind: str, dim: int, slot: str, a: np.ndarray, b: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
     """The slot query: the vector that ``slot``'s parameter row meets in the score.
 
     ``a`` and ``b`` are the rows of the other two slots in ``(h, r, t)``
@@ -226,25 +227,27 @@ def _query(kind: str, dim: int, slot: str, a: np.ndarray, b: np.ndarray) -> np.n
     each query row is computed from its own two rows alone: RESCAL's entity
     query is summed in coordinate order, as ``tests/oracles.rescal_query``
     sums it. ``Batch`` and ``grad`` compute RESCAL's entity queries as one
-    matrix product per relation block instead.
+    matrix product per relation block instead. ``out``, if given, is an
+    array of the query's shape that receives it, and is returned.
     """
     if kind == "distmult":
-        return a * b
+        return np.multiply(a, b, out=out)
     if kind == "transe":
-        return a + b if slot == "t" else b - a
+        return np.add(a, b, out=out) if slot == "t" else np.subtract(b, a, out=out)
     if kind == "rescal":
         if slot == "r":
-            return a[..., :, None] * b[..., None, :]
+            return np.multiply(a[..., :, None], b[..., None, :], out=out)
         # q_j = sum_k e_k W_kj, k ascending: e_h W_r for "t", e_t W_r^T for
         # "h". einsum sums W's rows in that order; it sums a contiguous axis
         # in another, so the head slot's W_r^T is made contiguous first.
         e, w = (a, b) if slot == "t" else (b, np.ascontiguousarray(np.swapaxes(a, -1, -2)))
-        return np.einsum("...k,...kj->...j", e, w)
+        return np.einsum("...k,...kj->...j", e, w, out=out)
     # ComplEx: e_h * w_r for "t", conj(a) * b otherwise. Each half is summed
     # in a contiguous half-width array, then copied into one output: numpy
     # runs a ufunc that writes a strided half several times slower.
     are, aim, bre, bim = a[..., :dim], a[..., dim:], b[..., :dim], b[..., dim:]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     first, second = (np.subtract, np.add) if slot == "t" else (np.add, np.subtract)
     half, scratch = np.multiply(are, bre), np.multiply(aim, bim)
     out[..., :dim] = first(half, scratch, out=half)
@@ -253,17 +256,23 @@ def _query(kind: str, dim: int, slot: str, a: np.ndarray, b: np.ndarray) -> np.n
     return out
 
 
-def _queries(params: ModelParams, slot: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _queries(params: ModelParams, slot: str, a: np.ndarray, b: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """The slot query of each triple, one row per triple.
 
     ``a`` and ``b`` are the id arrays of the other two slots, in ``(h, r, t)``
     order: one gather of each slot's rows, then ``_query``, for every kind.
     RESCAL's relation query is a ``(d, d)`` matrix per triple, and its
-    entity queries gather a ``(d, d)`` matrix per triple.
+    entity queries gather a ``(d, d)`` matrix per triple. ``out``, if given,
+    is an ``(m, w)`` array, or a view, that receives the queries flat, one
+    row of ``w`` floats each.
     """
     E, R = params.entities, params.relations
     a_table, b_table = (E, E) if slot == "r" else (R, E) if slot == "h" else (E, R)
-    return _query(params.kind, params.dim, slot, a_table[a], b_table[b])
+    if out is not None and params.kind == "rescal" and slot == "r":
+        # out's rows as (d, d) matrices: splitting a contiguous axis is a view
+        out = out.reshape(len(out), params.dim, params.dim)
+    return _query(params.kind, params.dim, slot, a_table[a], b_table[b], out)
 
 
 class Batch:
@@ -475,8 +484,11 @@ def screen(params: ModelParams, table: ScreenTable, slot: str, a: np.ndarray, b:
     and its band is every finite value. ``bound`` is finite, so a ``-inf``
     column is out of the band.
     """
-    q = _flat(_queries(params, slot, a, b))
     n = table.rows.shape[1]
+    # the queries land in the leading columns of the extended query array
+    extended = np.zeros((len(targets), n))
+    q = extended[:, :n - 3 if params.kind == "transe" else n - 1]
+    _queries(params, slot, a, b, out=q)
     # Why the bound holds. Let u = 2**-53, g(k) = k*u / (1 - k*u), X the exact
     # score of pair_scores and X_t the target's, V the exact value of a
     # query row [q, ...] times a candidate row, both without their last
@@ -537,8 +549,6 @@ def screen(params: ModelParams, table: ScreenTable, slot: str, a: np.ndarray, b:
             scale = math.sqrt(top) * math.sqrt(table.max_square_norm)
     if not scale <= _MAX_FLOAT / 8:
         return np.full((len(q), len(table.rows)), np.nan), q, _MAX_FLOAT
-    extended = np.zeros((len(q), n))
-    extended[:, :q.shape[1]] = q
     if params.kind == "transe":
         extended[:, -3] = square_norms
         extended[:, -2] = 1.0

@@ -490,6 +490,9 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
     number, no_hits = tmp_path / "number.json", tmp_path / "no_hits.json"
     number.write_text(json.dumps({"m": 3}))
     no_hits.write_text(json.dumps({"m": {"mrr": 0.4}}))
+    number_hits, text_mrr = tmp_path / "number_hits.json", tmp_path / "text_mrr.json"
+    number_hits.write_text(json.dumps({"m": {"mrr": 0.4, "hits": 3}}))
+    text_mrr.write_text(json.dumps({"m": {"mrr": "x", "hits": {"1": 0.3}}}))
     same, other = tmp_path / "same.json", tmp_path / "other.json"
     same.write_text(json.dumps(report))
     other.write_text(json.dumps({"n": report["m"]}))
@@ -528,6 +531,10 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
          f"{number}: model m: not a metrics report"),
         (["compare", "--a", str(same), "--b", str(no_hits)], 65,
          f"{no_hits}: model m: not a metrics report"),
+        (["compare", "--a", str(number_hits), "--b", str(same)], 65,
+         f"{number_hits}: model m: hits is not a JSON object of numbers"),
+        (["compare", "--a", str(same), "--b", str(text_mrr)], 65,
+         f"{text_mrr}: model m: mrr is not a number"),
         (train(clean, "--model", "transe", "--margin", "0"), 65, "margin must be > 0"),
         (train(raw("empty", b"")), 65, "train split is empty"),
         (train(oov, "--model", "rescal", "--dim", "4", "--epochs", "5", "--batch-size", "2",

@@ -501,10 +501,23 @@ def test_rank_records_do_not_depend_on_the_block_size(kind, monkeypatch):
                 assert records[0] == records[1] == records[2], (policy, tie, reciprocal)
 
 
+def _oov_splits(seed):
+    """Labelled (train, valid, test) of a random KG whose valid split adds a
+    triple with an OOV head and whose test split adds one with an OOV tail."""
+    base = random_kg(np.random.default_rng(seed), 9, 3, n_train=40, n_valid=8, n_test=10)
+    v = base.vocab
+    lab = lambda tr: (v.entity_label(tr[0]), v.relation_label(tr[1]), v.entity_label(tr[2]))
+    train = [lab(tr) for tr in base.train.tolist()]
+    h, r, t = train[0]
+    return (train, [lab(tr) for tr in base.valid.tolist()] + [("spook", r, t)],
+            [lab(tr) for tr in base.test.tolist()] + [(h, r, "ghost")])
+
+
 @pytest.mark.parametrize("policy", OOV_POLICIES)
 def test_each_ranked_direction_makes_one_filter_lookup(policy, monkeypatch):
-    # The lookup and the refusals belong to the split's direction, not to a block.
-    ds = _oov_kg(60)
+    # The lookup and the refusals belong to the dataset's split, policy and
+    # direction: not to a block, and not to a call.
+    ds = make_dataset(*_oov_splits(60))
     params = init_params("distmult", ds.vocab.n_entities, ds.vocab.n_relations, 3, seed=7)
     runs, calls = FilterIndex.runs, []
 
@@ -513,11 +526,35 @@ def test_each_ranked_direction_makes_one_filter_lookup(policy, monkeypatch):
         return runs(self, keys, a, b)
 
     monkeypatch.setattr(FilterIndex, "runs", counting_runs)
-    for floats in (1, 60, 2 ** 62):  # 12, 4 and 1 blocks per entity direction
+    for floats in (1, 60, 2 ** 62):  # one query per block, a few, and one block
         monkeypatch.setattr(evaluation, "BLOCK_FLOATS", floats)
         calls.clear()
         records = rank_records(params, ds, policy=policy)
-        assert calls == [len(records)] * 3, floats
+        assert calls == ([len(records)] * 3 if floats == 1 else []), floats
+    other = OOV_POLICIES[1 - OOV_POLICIES.index(policy)]
+    for split, other_policy in (("test", other), ("valid", policy)):
+        calls.clear()
+        records = rank_records(params, ds, split=split, policy=other_policy)
+        assert calls == [len(records)] * 3, (split, other_policy)
+
+
+def test_interleaved_models_rank_as_on_a_fresh_load(tmp_path):
+    # The lookups are keyed by the candidate table's row count and the policy:
+    # a reciprocal model has twice the relation rows, and a wide one more
+    # entity rows than the vocabulary, which are never candidates.
+    layout = DatasetLayout(dir=write_split_files(tmp_path / "raw", *_oov_splits(61)))
+    ds = load_dataset(layout)
+    n_e, n_r = ds.vocab.n_entities, ds.vocab.n_relations
+    models_ = [init_params("distmult", n_e, n_r, 3, seed=13),
+               replace(init_params("complex", n_e, 2 * n_r, 3, seed=14), reciprocal=True),
+               init_params("transe", n_e + 5, n_r, 3, seed=15)]
+    for policy in OOV_POLICIES:
+        for tie in TIES:
+            for params in models_:
+                for fn in (evaluate, evaluate_relation_prediction, rank_records):
+                    assert (fn(params, ds, policy=policy, tie=tie)
+                            == fn(params, load_dataset(layout), policy=policy, tie=tie)), (
+                        policy, tie, params.kind, fn.__name__)
 
 
 def _ranking_calls(policies, splits=("valid", "test")):
