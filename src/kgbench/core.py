@@ -48,6 +48,7 @@ class Vocabulary:
     relations: tuple[str, ...]
     entity_ids: dict[str, int] = field(init=False, repr=False, compare=False)
     relation_ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    _sha256: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for labels, ids, kind in ((self.entities, "entity_ids", "entity"),
@@ -87,9 +88,14 @@ class Vocabulary:
         return self.entities[h], self.relations[r], self.entities[t]
 
     def sha256(self) -> str:
-        """Content hash covering labels *and* their order (ids depend on order)."""
-        payload = json.dumps([list(self.entities), list(self.relations)], ensure_ascii=False)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """Content hash covering labels *and* their order (ids depend on order).
+
+        Computed on the first call and kept: the vocabulary is frozen.
+        """
+        if self._sha256 is None:
+            payload = json.dumps([list(self.entities), list(self.relations)], ensure_ascii=False)
+            object.__setattr__(self, "_sha256", hashlib.sha256(payload.encode("utf-8")).hexdigest())
+        return self._sha256
 
 
 def build_vocabulary(triples: np.ndarray | Iterable[LabeledTriple]) -> Vocabulary:

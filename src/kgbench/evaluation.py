@@ -20,39 +20,71 @@ default mean policy MRR uses the mean rank (half-integers allowed) while
 Hits@N counts ties at the boundary as misses.
 
 Ranking works one direction of a split at a time, the same way for every
-model kind. One vectorised lookup of the ``FilterIndex`` key arrays gives
-every query's known-true candidates, and the refusals (a triple not in the
-index, a target that is not a candidate) run on the whole split, once per
-dataset (see below). Then the split is ranked a block of queries at a time: one ``screen`` call
-approximates, with one matrix product, every candidate score of the block
-less its query's target score, and gives the block one bound ``B``, wide
-enough to cover every rounding (the proof is in ``models``). The block's
-known-true candidates and the columns that are not candidates, except each
-query's own target, are set to ``-inf``. A row counts the values above
-``B`` as scores above the target; the band ``[-B, B]`` (``NaN`` values
-included) is re-scored with ``pair_scores``, each kind's exact formula, in
-the rows where it holds more than the target. So ranks are those of the
-exact scores. ``BLOCK_FLOATS`` bounds a block's size, counting each
-query's scores, its query and, in an entity direction, the relation row it
-gathers (``d*d`` floats for RESCAL); a block's scores live only while it is
-ranked. ``filtered_rank_pair`` ranks a split of one query. A model whose
+model kind and both OOV policies. One vectorised lookup of the
+``FilterIndex`` key arrays gives every query's known-true candidates, and
+the refusals (a triple not in the index, a target that is not a candidate)
+run on the whole split, once per dataset (see below). Then the split is
+ranked a block of queries at a time: one ``screen`` call approximates, with
+one matrix product, every candidate score of the block less its query's
+target score, and gives the block one bound ``B``, wide enough to cover
+every rounding (the proof is in ``models``). The block's known-true
+candidates and the columns that are not candidates, except each query's
+own target, are set to ``-inf``. A row counts the values above ``B`` as
+scores above the target; the band ``[-B, B]`` (``NaN`` values included) is
+re-scored with ``pair_scores``, each kind's exact formula, in the rows where
+it holds more than the target. So the counts are those of the exact scores.
+``BLOCK_FLOATS`` bounds a block's size, counting each query's scores, its
+query and, in an entity direction, the relation row it gathers (``d*d``
+floats for RESCAL); a block's scores live only while it is ranked.
+``filtered_rank_pair`` ranks a split of one query. A model whose
 ``ModelParams.reciprocal`` is set ranks each head as the tail of the
 inverse relation.
+
+One pass serves both policies. Every vocabulary id is a candidate of the
+pass, and the OOV columns, the ids that train lacks, are also counted
+apart from the same plane: their cells above ``B``, and their band cells
+that the exact recount scores. A row gets the counts of candidates above
+its target and level with it (the target included), and of OOV columns
+above and level with it. ``include`` ranks by the first two. A row that
+``exclude`` keeps has no OOV target, and its ``exclude`` rank is the rank
+among the train-split candidates, exactly::
+
+    _tie_ranks(1 + above - above_oov, level - level_oov, tie)
+
+An ``exclude`` call that is not served ranks only the rows it keeps, so it
+never scores the target of an OOV row. An ``include`` call keeps its counts
+over every row of the split, and a copy of the parameter tables with the
+kind, dim and reciprocity. The next ``exclude`` call on that split, for
+directions those counts cover, whose parameters are bitwise the copy
+(``-0.0`` is not ``0.0``), takes its kept rows' counts from them and ranks
+nothing; serving it frees the counts and the copy, and skips the parameter
+checks, which the ``include`` call made on those very bits. Every other
+call ranks: an ``include`` call is never served, and it replaces what an
+earlier one kept. On a dataset whose train split holds every vocabulary id,
+such as a corrected copy, ``exclude`` keeps every row and candidate and
+ranks as ``include`` does, so nothing is kept there. The copy, one set of
+parameter tables per dataset, is taken after the blocks' planes and tables
+are freed, so it does not raise ranking's peak; it costs a copy per
+``include`` call and a compare per ``exclude`` call, each about 10 us for a
+``(2000, 16)`` table. A lone ``kgbench eval`` process makes one call, so it
+gains nothing and pays the copy.
 
 What ranking derives from the dataset alone is built once per dataset, on
 the first call that needs it, and reused by every later ``evaluate``,
 ``evaluate_relation_prediction`` and ``rank_records`` call on it, whatever
 the model:
 
-* the ``FilterIndex``;
-* on the first ``exclude`` call, each evaluation split's rows that
-  ``detect_oov`` leaves and the train split's entity and relation ids;
-* each ranked direction's filter lookup, read-only and after its refusals:
-  the known-true candidates of every query but its own target, and the
-  candidate table's ids that are not candidates. It is keyed by split,
-  policy, direction and the candidate table's row count, since a
-  reciprocal checkpoint has twice the relation rows and a checkpoint may
-  have entity rows beyond the vocabulary, which are never candidates.
+* the ``FilterIndex``, and the entity and relation ids that train lacks;
+* on the first ``exclude`` call, the positions of each evaluation split's
+  rows that ``detect_oov`` leaves;
+* each ranked direction's filter lookup over every row of a split,
+  read-only and after its refusals: the known-true candidates of every
+  query but its own target, and the candidate table's ids that are not
+  candidates. It is keyed by split, direction and the candidate table's
+  row count, since a reciprocal checkpoint has twice the relation rows and
+  a checkpoint may have entity rows beyond the vocabulary, which are never
+  candidates. Both policies use it: an ``exclude`` call takes the part
+  that belongs to its kept rows.
 
 So the first model ranked on a dataset pays for the lookups, and every
 later one only ranks its blocks. A ``SplitDataset`` is frozen, its arrays
@@ -60,10 +92,13 @@ are read-only and it compares by identity, so the dataset object fixes what
 it holds. The set-up is kept in a dictionary keyed weakly by the dataset:
 it lives as long as the dataset and is freed with it. The index takes 24
 bytes per triple (about 26 MB for YAGO3-10's 1.09M triples); a lookup 16
-bytes per filtered pair plus 8 per id that is not a candidate. At the
-``perfbench/gen.py`` full shapes (seed 3), the six lookups of the test
-split (both policies, three directions) take 47 KB at ``fb15k-237`` and
-0.4 KB at ``wn18rr``, against 459 and 499 KB for the index.
+bytes per filtered pair plus 8 per id that is not a candidate; the kept
+``include`` pass 16 bytes per row and direction besides its copy of the
+parameters. At the ``perfbench/gen.py`` full shapes (seed 3), the test
+split's three lookups take 24 KB at ``fb15k-237`` and 0.1 KB at
+``wn18rr``, against 470 and 511 KB for the index; the pass that a
+``rank_records`` call keeps takes 19 and 2 KB, and its copy of a d = 16
+DistMult's tables 1.9 and 5.2 MB.
 """
 
 from __future__ import annotations
@@ -74,7 +109,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audit import EVAL_SPLITS, detect_oov
-from .core import FilterIndex, SplitDataset, Triple, filter_index_build, split_vocab
+from .core import FilterIndex, SplitDataset, Triple, filter_index_build
 from .models import ModelParams, ScreenTable, id_arrays, pair_scores, screen, screen_table
 # Not called here: perfbench's tracer times these names in this module.
 from .models import score_all_heads, score_all_relations, score_all_tails  # noqa: F401
@@ -168,9 +203,26 @@ def _tie_ranks(optimistic: np.ndarray, level: np.ndarray,
     return (optimistic + pessimistic) / 2.0, pessimistic
 
 
-def _ranks(params: ModelParams, slot: str, plane: np.ndarray, queries: np.ndarray,
-           bound: float, targets: np.ndarray, tie: str) -> tuple[np.ndarray, np.ndarray]:
-    """(rank for MRR, integer rank for Hits@N) of each row's target column.
+def _policy_ranks(counts: np.ndarray, policy: str, tie: str) -> tuple[np.ndarray, np.ndarray]:
+    """(rank for MRR, integer rank for Hits@N) of ``_counts`` rows under ``policy``.
+
+    Under ``exclude`` the OOV columns are no candidates, so their counts
+    come off; the rows must be ones ``exclude`` keeps, whose targets are
+    not OOV.
+    """
+    above, level, above_oov, level_oov = counts
+    if policy == "exclude":
+        above, level = above - above_oov, level - level_oov
+    return _tie_ranks(1 + above, level, tie)
+
+
+def _counts(params: ModelParams, slot: str, plane: np.ndarray, queries: np.ndarray,
+            bound: float, targets: np.ndarray, oov: np.ndarray, out: np.ndarray) -> None:
+    """Write to the four rows of ``out`` ``above``, ``level``, ``above_oov``
+    and ``level_oov``: each row's candidates above its target column and
+    level with it, the target included, and of those the ones in the columns
+    ``oov``. ``exclude`` reads the last two only in rows whose target is not
+    such a column.
 
     ``plane``, ``queries`` and ``bound`` are ``screen``'s. Filtered and
     non-candidate columns hold ``-inf``, below ``-bound``. Plane values
@@ -180,10 +232,15 @@ def _ranks(params: ModelParams, slot: str, plane: np.ndarray, queries: np.ndarra
     target or where the target's plane value is not finite. Elsewhere the
     screen bounds the exact target score, so it is finite.
     """
+    above, level, above_oov, level_oov = out
     # an int32 sum of the bytes counts a boolean row faster than count_nonzero
-    above = (plane > bound).view(np.uint8).sum(axis=1, dtype=np.int32)
+    (plane > bound).view(np.uint8).sum(axis=1, dtype=np.int32, out=above)
     band = plane.shape[1] - above - (plane < -bound).view(np.uint8).sum(axis=1, dtype=np.int32)
-    level = np.ones_like(above)  # the target, alone in its band
+    level[:], level_oov[:] = 1, 0  # the target, alone in its band
+    if oov.size:
+        (plane[:, oov] > bound).view(np.uint8).sum(axis=1, dtype=np.int32, out=above_oov)
+    else:
+        above_oov[:] = 0
     rows = np.flatnonzero((band > 1) | ~np.isfinite(plane[np.arange(len(targets)), targets]))
     if rows.size:
         i, x = np.nonzero(~(np.abs(plane[rows]) > bound))
@@ -192,9 +249,15 @@ def _ranks(params: ModelParams, slot: str, plane: np.ndarray, queries: np.ndarra
             target = pair_scores(params, slot, row_queries, targets[rows])
             _check_finite(target)
             scores, target = pair_scores(params, slot, row_queries[i], x), target[i]
-        above[rows] += np.bincount(i[scores > target], minlength=rows.size)
-        level[rows] = np.bincount(i[scores == target], minlength=rows.size)
-    return _tie_ranks(1 + above, level, tie)
+        higher, equal = scores > target, scores == target
+        above[rows] += np.bincount(i[higher], minlength=rows.size)
+        level[rows] = np.bincount(i[equal], minlength=rows.size)
+        if oov.size:
+            is_oov = np.zeros(plane.shape[1], dtype=bool)
+            is_oov[oov] = True
+            in_oov = is_oov[x]
+            above_oov[rows] += np.bincount(i[higher & in_oov], minlength=rows.size)
+            level_oov[rows] = np.bincount(i[equal & in_oov], minlength=rows.size)
 
 
 def _inverse_relations(params: ModelParams, r: np.ndarray) -> np.ndarray:
@@ -210,19 +273,19 @@ def _inverse_relations(params: ModelParams, r: np.ndarray) -> np.ndarray:
 
 def _rank_block(params: ModelParams, table: ScreenTable, slot: str, a: np.ndarray,
                 b: np.ndarray, targets: np.ndarray, query: np.ndarray, known: np.ndarray,
-                dropped: np.ndarray, tie: str) -> tuple[np.ndarray, np.ndarray]:
-    """Filtered (MRR ranks, Hits ranks) of one block of queries.
+                dropped: np.ndarray, oov: np.ndarray, out: np.ndarray) -> None:
+    """Write the ``_counts`` of one block of queries to ``out``.
 
     One ``screen`` call screens the block against ``table``. The block's
     filtered cells ``(query[i], known[i])`` and its ``dropped`` columns are
-    set to ``-inf`` before the ranks are counted. The score plane lives only
-    in this call, so a split holds one block's plane at a time.
+    set to ``-inf`` before the candidates are counted. The score plane lives
+    only in this call, so a split holds one block's plane at a time.
     """
     plane, queries, bound = screen(params, table, slot, a, b, targets)
     plane[query, known] = -np.inf
     if dropped.size:
         plane[:, dropped] = -np.inf
-    return _ranks(params, slot, plane, queries, bound, targets, tie)
+    _counts(params, slot, plane, queries, bound, targets, oov, out)
 
 
 def _filter_lookup(index: FilterIndex, triples: np.ndarray, direction: str, n_rows: int,
@@ -268,16 +331,27 @@ def _filter_lookup(index: FilterIndex, triples: np.ndarray, direction: str, n_ro
     return lookup
 
 
-def _rank_direction(params: ModelParams, table: ScreenTable, triples: np.ndarray,
-                    direction: str, tie: str,
-                    lookup: tuple[np.ndarray, np.ndarray, np.ndarray]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Filtered (MRR ranks, Hits ranks) of one slot of each row of ``triples``.
+def _kept_lookup(lookup: tuple[np.ndarray, np.ndarray, np.ndarray], kept: np.ndarray,
+                 n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The part of a lookup of ``n`` rows that belongs to the rows ``kept``, renumbered."""
+    query, known, dropped = lookup
+    position = np.full(n, -1)
+    position[kept] = np.arange(len(kept))
+    query = position[query]
+    inside = query >= 0
+    return query[inside], known[inside], dropped
 
-    ``lookup`` is the direction's ``_filter_lookup``. Each block of as many
-    rows as keep its scores, queries and gathered relation rows within
-    ``BLOCK_FLOATS`` float64s is ranked by ``_rank_block``, with the
-    filtered candidates of its rows.
+
+def _rank_direction(params: ModelParams, table: ScreenTable, triples: np.ndarray,
+                    direction: str, lookup: tuple[np.ndarray, np.ndarray, np.ndarray],
+                    oov: np.ndarray) -> np.ndarray:
+    """The ``_counts`` of one slot of each row of ``triples``, one column per row.
+
+    ``lookup`` is the direction's ``_filter_lookup`` and ``oov`` the ids of
+    the table rows counted apart. Each block of as many rows as keep its
+    scores, queries and gathered relation rows within ``BLOCK_FLOATS``
+    float64s is counted by ``_rank_block``, with the filtered candidates of
+    its rows.
     """
     h, r, t = triples.T
     if direction == "tail":
@@ -294,14 +368,12 @@ def _rank_direction(params: ModelParams, table: ScreenTable, triples: np.ndarray
     starts = range(0, len(triples), step)
     # the lookup groups the pairs by row, so one search splits them by block
     ends = query.searchsorted(starts[1:]).tolist() if len(starts) > 1 else []
-    ranks = np.empty(len(triples))
-    hits_ranks = np.empty(len(triples), dtype=np.int64)
+    counts = np.empty((4, len(triples)), dtype=np.int32)
     for start, i, j in zip(starts, [0, *ends], [*ends, len(query)]):
         block = slice(start, start + step)
-        ranks[block], hits_ranks[block] = _rank_block(
-            params, table, slot, a[block], b[block], targets[block], query[i:j] - start,
-            known[i:j], dropped, tie)
-    return ranks, hits_ranks
+        _rank_block(params, table, slot, a[block], b[block], targets[block],
+                    query[i:j] - start, known[i:j], dropped, oov, counts[:, block])
+    return counts
 
 
 def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, t: int,
@@ -323,23 +395,57 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
     _check_params_finite(params)
     table = screen_table(params, "r" if direction == "relation" else "t")
     lookup = _filter_lookup(index, triple, direction, len(table.rows), candidates)
-    rank, hits_rank = _rank_direction(params, table, triple, direction, tie, lookup)
+    counts = _rank_direction(params, table, triple, direction, lookup,
+                             np.empty(0, dtype=np.int64))
+    rank, hits_rank = _policy_ranks(counts, "include", tie)
     return float(rank[0]), int(hits_rank[0])
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same values bit for bit: ``-0.0`` is not
+    ``0.0``, and a ``NaN`` is itself."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    bits = np.dtype(f"u{a.itemsize}")
+    return np.array_equal(a.view(bits), b.view(bits))
+
+
+@dataclass(frozen=True, eq=False)
+class _IncludePass:
+    """The counts of a dataset's last ``include`` call, by direction, over
+    every row of ``split``, and a copy of the parameters it ranked."""
+
+    split: str
+    counts: dict[str, np.ndarray]
+    params: ModelParams
+
+    def serves(self, params: ModelParams, split: str, directions: tuple[str, ...]) -> bool:
+        """Whether these counts are those of ``params``: the same kind, dim and
+        reciprocity, and the same parameter bits."""
+        own = self.params
+        return (split == self.split and all(d in self.counts for d in directions)
+                and (own.kind, own.dim, own.reciprocal)
+                == (params.kind, params.dim, params.reciprocal)
+                and _same_bits(own.entities, params.entities)
+                and _same_bits(own.relations, params.relations))
 
 
 @dataclass
 class _Setup:
-    """A dataset's ranking set-up: its filter index; once an ``exclude``
-    call has needed them, the evaluation splits' rows kept under ``exclude``
-    and the train split's entity and relation ids; and each ranked
-    direction's ``_filter_lookup``, keyed by ``(split, policy, direction,
-    candidate table rows)``."""
+    """A dataset's ranking set-up: its filter index; the ids of the
+    vocabulary that train lacks, entities and relations; once an
+    ``exclude`` call has needed them, the positions of the evaluation
+    splits' rows kept under ``exclude``; each ranked direction's
+    ``_filter_lookup`` over every row of a split, keyed by ``(split,
+    direction, candidate table rows)``; and, if train lacks some ids, the
+    last ``include`` pass, until an ``exclude`` call takes it."""
 
     index: FilterIndex
+    oov: tuple[np.ndarray, np.ndarray]
     kept: dict[str, np.ndarray] | None = None
-    train_ids: tuple[np.ndarray, np.ndarray] | None = None
-    lookups: dict[tuple[str, str, str, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = (
+    lookups: dict[tuple[str, str, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = (
         field(default_factory=dict))
+    last: _IncludePass | None = None
 
 
 #: Each dataset's ``_Setup``; an entry goes when its dataset does.
@@ -354,65 +460,104 @@ def _setup(dataset: SplitDataset, policy: str) -> _Setup:
     """
     setup = _SETUPS.get(dataset)
     if setup is None:
-        setup = _SETUPS[dataset] = _Setup(filter_index_build(dataset))
-    if policy == "exclude" and setup.kept is None:
-        oov = detect_oov(dataset)
-        kept = {split: np.delete(dataset.split(split),
-                                 [line_no - 1 for line_no in oov.removed_line_numbers(split)],
-                                 axis=0) for split in EVAL_SPLITS}
-        train_ids = split_vocab(dataset.train)
-        for array in (*kept.values(), *train_ids):
+        vocab, (h, r, t) = dataset.vocab, dataset.train.T
+        entities, relations = np.ones(vocab.n_entities, bool), np.ones(vocab.n_relations, bool)
+        entities[h] = entities[t] = relations[r] = False  # left: the ids train lacks
+        oov = np.flatnonzero(entities), np.flatnonzero(relations)
+        for array in oov:
             array.flags.writeable = False
-        setup.kept, setup.train_ids = kept, train_ids
+        setup = _SETUPS[dataset] = _Setup(filter_index_build(dataset), oov)
+    if policy == "exclude" and setup.kept is None:
+        report = detect_oov(dataset)
+        kept = {split: np.delete(np.arange(len(dataset.split(split))),
+                                 [line_no - 1 for line_no in report.removed_line_numbers(split)])
+                for split in EVAL_SPLITS}
+        for array in kept.values():
+            array.flags.writeable = False
+        setup.kept = kept
     return setup
+
+
+def _count_split(params: ModelParams, setup: _Setup, dataset: SplitDataset, split: str,
+                 kept: np.ndarray | None, directions: tuple[str, ...]) -> np.ndarray:
+    """The ``_counts`` of the split's rows ``kept`` (``None``: every row), one
+    ``(4, rows)`` array per direction; every vocabulary id is a candidate,
+    and the ids train lacks are counted apart."""
+    triples = dataset.split(split)
+    ranked = triples if kept is None else triples[kept]
+    counts = np.empty((len(directions), 4, len(ranked)), dtype=np.int32)
+    tables = {}  # by the slot whose table it is: heads and tails share the entities'
+    for j, direction in enumerate(directions):
+        if direction == "relation":
+            slot, n_candidates, oov = "r", dataset.vocab.n_relations, setup.oov[1]
+        else:
+            slot, n_candidates, oov = "t", dataset.vocab.n_entities, setup.oov[0]
+        if slot not in tables:
+            tables[slot] = screen_table(params, slot)
+        # the table's row count is the model's: reciprocal checkpoints have
+        # more relation rows, and a checkpoint may have more entity rows,
+        # which are never candidates
+        key = (split, direction, len(tables[slot].rows))
+        lookup = setup.lookups.get(key)
+        if lookup is None:
+            lookup = setup.lookups[key] = _filter_lookup(
+                setup.index, triples, direction, key[2], np.arange(n_candidates))
+        if kept is not None:
+            lookup = _kept_lookup(lookup, kept, len(triples))
+        counts[j] = _rank_direction(params, tables[slot], ranked, direction, lookup, oov)
+    return counts
 
 
 def _rank_split(params: ModelParams, dataset: SplitDataset, split: str, policy: str,
                 directions: tuple[str, ...], tie: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The split's triples under ``policy``, and their MRR ranks and Hits ranks,
-    one column per direction."""
+    one column per direction.
+
+    An ``include`` call on a dataset whose train split lacks some ids keeps
+    its counts and a copy of ``params`` in the dataset's set-up; the next
+    ``exclude`` call on the same split and
+    directions whose parameters are bitwise the copy takes its ranks from
+    them, less the OOV columns, in place of ranking its rows again.
+    """
     if policy not in OOV_POLICIES:
         raise ValueError(f"unknown OOV policy {policy!r} (expected one of {OOV_POLICIES})")
-    vocab = dataset.vocab
-    if params.n_entities < vocab.n_entities:
-        raise EvaluationError("params do not cover the dataset's entity vocabulary")
-    needed_rel = 2 * vocab.n_relations if params.reciprocal else vocab.n_relations
-    if params.n_relations < needed_rel:
-        raise EvaluationError("params do not cover the dataset's relation vocabulary")
-    _check_params_finite(params)
+    setup = _SETUPS.get(dataset)
+    last = setup.last if setup is not None and policy == "exclude" else None
+    served = last is not None and last.serves(params, split, directions)
+    if not served:  # else an include call has checked these very parameters on this dataset
+        vocab = dataset.vocab
+        if params.n_entities < vocab.n_entities:
+            raise EvaluationError("params do not cover the dataset's entity vocabulary")
+        needed_rel = 2 * vocab.n_relations if params.reciprocal else vocab.n_relations
+        if params.n_relations < needed_rel:
+            raise EvaluationError("params do not cover the dataset's relation vocabulary")
+        _check_params_finite(params)
 
     triples = dataset.split(split)
     setup = _setup(dataset, policy)
-    if policy == "exclude":
-        triples = setup.kept.get(split, triples)
-        ent_candidates, rel_candidates = setup.train_ids
-    else:
-        # Masks are sized to the parameter tables, so candidate arrays are
-        # explicit even under include (reciprocal checkpoints have extra rows).
-        ent_candidates = np.arange(vocab.n_entities, dtype=np.int64)
-        rel_candidates = np.arange(vocab.n_relations, dtype=np.int64)
+    kept = setup.kept.get(split) if policy == "exclude" else None
+    if kept is not None:
+        triples = triples[kept]
     if not len(triples):
         raise EvaluationError(f"no {split} triples left to evaluate under policy {policy!r}")
     _check_tie(tie)
+    if served:
+        setup.last = None
+        counts = np.stack([last.counts[direction] for direction in directions])
+        if kept is not None:
+            counts = counts[:, :, kept]
+    else:
+        if policy == "include":
+            setup.last = None  # one copy of the parameters per dataset, also while ranking
+        counts = _count_split(params, setup, dataset, split, kept, directions)
+        # The blocks' planes and tables are gone. Where train holds every id,
+        # exclude keeps every row and candidate and ranks as include does.
+        if policy == "include" and (setup.oov[0].size or setup.oov[1].size):
+            setup.last = _IncludePass(split, dict(zip(directions, counts)), params.copy())
     ranks = np.empty((len(triples), len(directions)))
     hits_ranks = np.empty(ranks.shape, dtype=np.int64)
-    tables = {}  # by the slot whose table it is: heads and tails share the entities'
-    for j, direction in enumerate(directions):
-        if direction == "relation":
-            slot, candidates = "r", rel_candidates
-        else:
-            slot, candidates = "t", ent_candidates
-        if slot not in tables:
-            tables[slot] = screen_table(params, slot)
-        # the table's row count is the model's: reciprocal checkpoints have
-        # more relation rows, and a checkpoint may have more entity rows
-        key = (split, policy, direction, len(tables[slot].rows))
-        lookup = setup.lookups.get(key)
-        if lookup is None:
-            lookup = setup.lookups[key] = _filter_lookup(setup.index, triples, direction,
-                                                         key[3], candidates)
-        ranks[:, j], hits_ranks[:, j] = _rank_direction(
-            params, tables[slot], triples, direction, tie, lookup)
+    for j, direction_counts in enumerate(counts):
+        ranks[:, j], hits_ranks[:, j] = _policy_ranks(direction_counts, policy, tie)
     return triples, ranks, hits_ranks
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +13,8 @@ from kgbench.cli import main
 
 from conftest import write_split_files
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "kgbench" / "schemas"
+SRC = Path(__file__).resolve().parent.parent / "src"
+SCHEMA_DIR = SRC / "kgbench" / "schemas"
 
 
 @pytest.fixture(autouse=True)
@@ -572,3 +576,66 @@ def test_every_documented_failure_exits_with_its_code(oov_dir, clean_dir, tmp_pa
             got = main(argv)
         printed = capsys.readouterr()
         assert (got, message in printed.out + printed.err) == (code, True), (argv, printed)
+
+
+#: Runs in a subprocess: every command of the pipeline on ``raw`` in the
+#: current directory, with relative paths, so that two runs in two
+#: directories may write the same bytes. Prints the exit codes as JSON.
+_PIPELINE = r"""
+import json
+from kgbench.cli import main
+
+codes = [main(["audit", "--data", "raw", "--json", "audit.json", "--md", "audit.md"]),
+         main(["correct", "--data", "raw", "--out", "corrected"])]
+report_sets = {"raw-include": {}, "corrected-include": {}}
+for kind in ("distmult", "transe"):
+    codes.append(main(["train", "--data", "raw", "--model", kind, "--dim", "4", "--epochs", "2",
+                       "--seed", "3", "--out", f"{kind}.npz", "--loss-csv", f"{kind}-loss.csv"]))
+    for data, policy in (("raw", "include"), ("raw", "exclude"), ("corrected", "include")):
+        report = f"{kind}-{data}-{policy}.json"
+        codes.append(main(["eval", "--data", data, "--checkpoint", f"{kind}.npz",
+                           "--oov-policy", policy, "--json", report]))
+        if policy == "include":
+            with open(report, encoding="utf-8") as f:
+                report_sets[f"{data}-{policy}"][kind] = json.load(f)
+for name, report_set in report_sets.items():
+    with open(f"{name}-set.json", "w", encoding="utf-8") as f:
+        json.dump(report_set, f, sort_keys=True)
+codes.append(main(["compare", "--a", "raw-include-set.json", "--b", "corrected-include-set.json",
+                   "--json", "compare.json"]))
+print(json.dumps(codes))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Set and dict orders of strings change with PYTHONHASHSEED; no output may.
+    labels = [f"entity/{i}" for i in range(12)]
+    train = [(labels[i], f"rel:{i % 3}", labels[(i * 5 + 1) % 12]) for i in range(12)]
+    valid = [(labels[2], "rel:1", labels[7]), ("ghost", "rel:0", labels[3])]
+    test = [(labels[4], "rel:2", labels[9]), (labels[1], "rel:9", labels[6]),
+            (labels[8], "rel:0", "spook"), (labels[6], "rel:1", labels[11])]
+    runs = {}
+    for seed in ("0", "12345"):
+        run = tmp_path / f"seed-{seed}"
+        write_split_files(run / "raw", train, valid, test)
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", _PIPELINE], cwd=run, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [3] + [0] * 10, proc.stdout
+        runs[seed] = run
+    first, second = runs.values()
+    files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+    written = [f for f in files if f.suffix in (".json", ".md", ".csv", ".txt")]
+    assert {f.suffix for f in written} == {".json", ".md", ".csv", ".txt"}
+    assert Path("corrected/manifest.json") in written
+    for name in written:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    for name in (f for f in files if f.suffix == ".npz"):
+        with np.load(first / name) as a, np.load(second / name) as b:
+            assert a.files == b.files, name
+            for key in a.files:
+                assert np.array_equal(a[key], b[key]), (name, key)

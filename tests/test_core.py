@@ -193,6 +193,15 @@ def test_vocab_hash_changes_with_order():
     assert v1.sha256() != v2.sha256()
 
 
+def test_vocab_hash_is_kept_and_its_bytes_do_not_change():
+    # the digest of json.dumps([entities, relations], ensure_ascii=False) in UTF-8
+    v = build_vocabulary([("a", "p", "b"), ("\u00fc", "q", "a")])
+    digest = "c4c7b02e98711a5096461c6ff74f373528fdea323a24c3125787844c7c687c29"
+    assert v.sha256() == digest and v.sha256() is v.sha256()
+    assert dataclasses.replace(v, entities=("b", "a", "\u00fc")).sha256() != digest
+    assert v == build_vocabulary([("a", "p", "b"), ("\u00fc", "q", "a")])
+
+
 def test_filter_index_ids_outside_its_range_give_empty_sets():
     # n = 3: a query id of -1 or 3 must not alias the run of another pair
     idx = FilterIndex.from_triples([(0, 0, 1), (1, 0, 2), (2, 1, 0)])

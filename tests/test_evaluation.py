@@ -515,8 +515,9 @@ def _oov_splits(seed):
 
 @pytest.mark.parametrize("policy", OOV_POLICIES)
 def test_each_ranked_direction_makes_one_filter_lookup(policy, monkeypatch):
-    # The lookup and the refusals belong to the dataset's split, policy and
-    # direction: not to a block, and not to a call.
+    # The lookup and the refusals belong to the dataset's split and direction:
+    # not to a block, a call or a policy. Each covers every row of its split,
+    # and an exclude call takes the part that belongs to the rows it keeps.
     ds = make_dataset(*_oov_splits(60))
     params = init_params("distmult", ds.vocab.n_entities, ds.vocab.n_relations, 3, seed=7)
     runs, calls = FilterIndex.runs, []
@@ -529,13 +530,136 @@ def test_each_ranked_direction_makes_one_filter_lookup(policy, monkeypatch):
     for floats in (1, 60, 2 ** 62):  # one query per block, a few, and one block
         monkeypatch.setattr(evaluation, "BLOCK_FLOATS", floats)
         calls.clear()
-        records = rank_records(params, ds, policy=policy)
-        assert calls == ([len(records)] * 3 if floats == 1 else []), floats
+        rank_records(params, ds, policy=policy)
+        assert calls == ([len(ds.test)] * 3 if floats == 1 else []), floats
+    # the other policy on the same split, served from the last include call or
+    # not, makes none; the valid split makes its own three
     other = OOV_POLICIES[1 - OOV_POLICIES.index(policy)]
-    for split, other_policy in (("test", other), ("valid", policy)):
+    for split, other_policy, want in (("test", other, []), ("valid", policy, [len(ds.valid)] * 3)):
         calls.clear()
-        records = rank_records(params, ds, split=split, policy=other_policy)
-        assert calls == [len(records)] * 3, (split, other_policy)
+        rank_records(params, ds, split=split, policy=other_policy)
+        assert calls == want, (split, other_policy)
+
+
+def _counting_screens(monkeypatch):
+    """A list that grows by one for every block of queries that ``evaluation`` screens."""
+    calls = []
+
+    def counting_screen(*args, screen=evaluation.screen):
+        calls.append(len(args[-1]))
+        return screen(*args)
+
+    monkeypatch.setattr(evaluation, "screen", counting_screen)
+    return calls
+
+
+def _served_splits():
+    """``_oov_splits`` whose test split also holds a triple with an OOV relation."""
+    train, valid, test = _oov_splits(62)
+    h, _, t = train[1]
+    return train, valid, [*test, (h, "rq", t)]
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_an_exclude_call_after_include_is_served_and_equals_a_ranked_one(kind, monkeypatch):
+    # The OOV rows of the parameters copy in-train rows, or differ from one in
+    # the last few bits, so OOV candidates tie with targets or fall in the
+    # band just above or below them, and the exact recount counts them apart.
+    splits = _served_splits()
+    ds = make_dataset(*splits)
+    v = ds.vocab
+    h, r, t = (v.entity_id(splits[0][0][0]), v.relation_id(splits[0][0][1]),
+               v.entity_id(splits[0][0][2]))
+    idx, (ents, rels) = filter_index_build(ds), split_vocab(ds.train)
+    screens = _counting_screens(monkeypatch)
+    for reciprocal, extra_entities in ((False, 0), (True, 0), (False, 4)):
+        n_rel_rows = v.n_relations * (2 if reciprocal else 1)
+        params = replace(init_params(kind, v.n_entities + extra_entities, n_rel_rows, 3, seed=16),
+                         reciprocal=reciprocal)
+        params.entities[v.entity_id("ghost")] = params.entities[h]
+        params.entities[v.entity_id("spook")] = params.entities[t] * (1 + 2.0 ** -48)
+        params.relations[v.relation_id("rq")] = params.relations[r] * (1 + 2.0 ** -48)
+        for split in ("valid", "test"):
+            for tie in TIES:
+                fns = (evaluate, evaluate_relation_prediction, rank_records)
+                ranked = {fn: fn(params, make_dataset(*splits), split=split, policy="exclude",
+                                 tie=tie) for fn in fns}
+                for fn in fns:
+                    include = fn(params, ds, split=split, policy="include", tie=tie)
+                    screens.clear()
+                    served = fn(params.copy(), ds, split=split, policy="exclude", tie=tie)
+                    assert screens == [], (reciprocal, split, tie, fn.__name__)
+                    assert served == ranked[fn] != include, (reciprocal, split, tie, fn.__name__)
+                # the ranked calls against filtered_rank_pair, which drops the OOV columns
+                records = ranked[rank_records]
+                for rec in records:
+                    for direction, cands in (("tail", ents), ("head", ents), ("relation", rels)):
+                        assert (getattr(rec, f"rank_{direction}"),
+                                getattr(rec, f"hits_rank_{direction}")) == filtered_rank_pair(
+                            params, idx, *rec.triple, direction, tie, cands), (rec, direction)
+                _assert_metrics_from_records(ranked[evaluate], records, ("tail", "head"))
+                _assert_metrics_from_records(ranked[evaluate_relation_prediction], records,
+                                             ("relation",))
+        # a pass over more directions serves a call over fewer
+        ranked = evaluate(params, make_dataset(*splits), policy="exclude")
+        rank_records(params, ds, policy="include")
+        screens.clear()
+        assert evaluate(params, ds, policy="exclude") == ranked
+        assert screens == [], reciprocal
+
+
+@pytest.mark.parametrize("change", ["float", "zero sign", "relation", "kind", "split",
+                                    "direction"])
+def test_an_exclude_call_that_differs_from_the_last_include_call_is_ranked(change, monkeypatch):
+    splits = _served_splits()
+    ds = make_dataset(*splits)
+    params = init_params("distmult", ds.vocab.n_entities, ds.vocab.n_relations, 3, seed=17)
+    params.entities[2, 1] = 0.0
+    screens = _counting_screens(monkeypatch)
+    # an evaluate pass does not serve rank_records, which also needs the relations
+    fns = (evaluate, evaluate_relation_prediction) + ((rank_records,) * (change != "direction"))
+    for fn in fns:
+        fn(params, ds, policy="include")
+        split, other_fn = "test", fn
+        if change == "float":
+            params.entities[1, 0] = np.nextafter(params.entities[1, 0], np.inf)
+        elif change == "zero sign":
+            params.entities[2, 1] = -params.entities[2, 1]
+        elif change == "relation":
+            params.relations[0, 2] *= 2.0
+        elif change == "kind":  # TransE's tables have DistMult's shapes
+            params = replace(params, kind="transe" if params.kind == "distmult" else "distmult")
+        elif change == "split":
+            split = "valid"
+        else:
+            other_fn = rank_records if fn is evaluate else evaluate
+        screens.clear()
+        got = other_fn(params, ds, split=split, policy="exclude")
+        assert screens, fn.__name__
+        assert got == other_fn(params, make_dataset(*splits), split=split, policy="exclude")
+
+
+def test_only_the_first_exclude_call_after_an_include_call_is_served(monkeypatch):
+    # Where train holds every id, exclude ranks as include does and no pass is kept.
+    train, valid, test = _served_splits()
+    clean = make_dataset(train, [], [tr for tr in test if tr[1] != "rq" and "ghost" not in tr])
+    assert not detect_oov(clean).test.affected
+    screens = _counting_screens(monkeypatch)
+    for ds, policies, ranked in (
+            (make_dataset(train, valid, test), ("include", "include"), [True, True]),
+            (make_dataset(train, valid, test), ("include", "exclude", "exclude"),
+             [True, False, True]),
+            (make_dataset(train, valid, test), ("exclude", "include", "exclude"),
+             [True, True, False]),
+            (clean, ("include", "exclude"), [True, True])):
+        params = init_params("complex", ds.vocab.n_entities, ds.vocab.n_relations, 3, seed=18)
+        got, records = [], []
+        for policy in policies:
+            screens.clear()
+            records.append(rank_records(params, ds, policy=policy))
+            got.append(bool(screens))
+        assert got == ranked, policies
+    assert records[0] == records[1]
 
 
 def test_interleaved_models_rank_as_on_a_fresh_load(tmp_path):
