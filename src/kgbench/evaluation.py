@@ -22,52 +22,60 @@ Hits@N counts ties at the boundary as misses.
 Ranking works one direction of a split at a time, the same way for every
 model kind and both OOV policies. One vectorised lookup of the
 ``FilterIndex`` key arrays gives every query's known-true candidates, and
-the refusals (a triple not in the index, a target that is not a candidate)
-run on the whole split, once per dataset (see below). Then the split is
-ranked a block of queries at a time: one ``screen`` call approximates, with
-one matrix product, every candidate score of the block less its query's
-target score, and gives the block one bound ``B``, wide enough to cover
-every rounding (the proof is in ``models``). The block's known-true
-candidates and the columns that are not candidates, except each query's
-own target, are set to ``-inf``. A row counts the values above ``B`` as
-scores above the target; the band ``[-B, B]`` (``NaN`` values included) is
-re-scored with ``pair_scores``, each kind's exact formula, in the rows where
-it holds more than the target. So the counts are those of the exact scores.
-``BLOCK_FLOATS`` bounds a block's size, counting each query's scores, its
-query and, in an entity direction, the relation row it gathers (``d*d``
-floats for RESCAL); a block's scores live only while it is ranked.
-``filtered_rank_pair`` ranks a split of one query. A model whose
-``ModelParams.reciprocal`` is set ranks each head as the tail of the
-inverse relation.
+the refusal of a triple that is not in the index runs on the whole split,
+once per dataset (see below). Then the split is ranked a block of queries
+at a time: one ``screen`` call approximates, with one matrix product, every
+candidate score of the block less its query's target score, and gives the
+block one bound ``B``, wide enough to cover every rounding (the proof is in
+``models``). The candidates are the vocabulary's rows of the table: a
+checkpoint's rows beyond it, a reciprocal model's inverse relations or
+extra entity rows, are not in the screened table. The block's known-true
+candidates, except each query's own target, are set to ``-inf``. A row
+counts the values above ``B`` as scores above the target; the band ``[-B,
+B]`` (``NaN`` values included) is re-scored with ``pair_scores``, each
+kind's exact formula, in the rows where it holds more than the target. So
+the counts are those of the exact scores. ``BLOCK_FLOATS`` bounds a block's
+size, counting each query's scores, its query and, in an entity direction,
+the relation row it gathers (``d*d`` floats for RESCAL); a block's scores
+live only while it is ranked. ``filtered_rank_pair`` ranks a split of one
+query. A model whose ``ModelParams.reciprocal`` is set ranks each head as
+the tail of the inverse relation.
 
-One pass serves both policies. Every vocabulary id is a candidate of the
-pass, and the OOV columns, the ids that train lacks, are also counted
-apart from the same plane: their cells above ``B``, and their band cells
-that the exact recount scores. A row gets the counts of candidates above
-its target and level with it (the target included), and of OOV columns
-above and level with it. ``include`` ranks by the first two. A row that
-``exclude`` keeps has no OOV target, and its ``exclude`` rank is the rank
-among the train-split candidates, exactly::
+One pass serves both policies. A call ranks every row of its split, and
+every vocabulary id is a candidate. The OOV columns, the ids that train
+lacks, are also counted apart from the same plane: their cells above
+``B``, and their band cells that the exact recount scores. A row gets the
+counts of candidates above its target and level with it (the target
+included), and of OOV columns above and level with it. ``include`` ranks
+every row by the first two. ``exclude`` selects the rows ``detect_oov``
+leaves, whose targets are not OOV, and ranks each among the train-split
+candidates, exactly::
 
     _tie_ranks(1 + above - above_oov, level - level_oov, tie)
 
-An ``exclude`` call that is not served ranks only the rows it keeps, so it
-never scores the target of an OOV row. An ``include`` call keeps its counts
-over every row of the split, and a copy of the parameter tables with the
-kind, dim and reciprocity. The next ``exclude`` call on that split, for
-directions those counts cover, whose parameters are bitwise the copy
-(``-0.0`` is not ``0.0``), takes its kept rows' counts from them and ranks
-nothing; serving it frees the counts and the copy, and skips the parameter
-checks, which the ``include`` call made on those very bits. Every other
-call ranks: an ``include`` call is never served, and it replaces what an
-earlier one kept. On a dataset whose train split holds every vocabulary id,
-such as a corrected copy, ``exclude`` keeps every row and candidate and
-ranks as ``include`` does, so nothing is kept there. The copy, one set of
-parameter tables per dataset, is taken after the blocks' planes and tables
-are freed, so it does not raise ranking's peak; it costs a copy per
-``include`` call and a compare per ``exclude`` call, each about 10 us for a
-``(2000, 16)`` table. A lone ``kgbench eval`` process makes one call, so it
-gains nothing and pays the copy.
+A row whose exact target score is not finite is counted level with
+nothing, which a real row never is, as its target is level with itself.
+Only the rows a call keeps are refused for it, naming the triple, so
+``exclude`` never refuses because of an OOV row.
+
+A call that ranks keeps its counts and a copy of the parameter tables with
+the kind, dim and reciprocity. The next call on that split, whatever the
+policy of either call, for directions those counts cover, whose parameters
+are bitwise the copy (``-0.0`` is not ``0.0``), takes its rows' counts from
+them and ranks nothing; serving it frees the counts and the copy, and skips
+the parameter checks, which the ranking call made on those very bits.
+Every other call ranks, and replaces what an earlier one kept. Nothing is
+kept on a dataset whose train split holds every vocabulary id, such as a
+corrected copy, which is ranked once per model under ``include``: there a
+copy would be paid for and not used. The copy, one set of parameter tables per dataset, is taken after
+the blocks' planes and tables are freed, so it does not raise ranking's
+peak; it costs a copy per ranked call and a compare per later call, each
+about 10 us for a ``(2000, 16)`` table. A lone ``kgbench eval`` process
+makes one call, so it gains nothing and pays the copy. An ``exclude`` call
+that nothing serves ranks the OOV rows as well: at the published shares,
+6.70% of WN18RR's test triples, 0.14% of FB15K-237's and 0.36% of
+YAGO3-10's. An ``exclude`` call made after an ``include`` call with the
+same parameters, as in each benchmark round, is served.
 
 What ranking derives from the dataset alone is built once per dataset, on
 the first call that needs it, and reused by every later ``evaluate``,
@@ -78,13 +86,8 @@ the model:
 * on the first ``exclude`` call, the positions of each evaluation split's
   rows that ``detect_oov`` leaves;
 * each ranked direction's filter lookup over every row of a split,
-  read-only and after its refusals: the known-true candidates of every
-  query but its own target, and the candidate table's ids that are not
-  candidates. It is keyed by split, direction and the candidate table's
-  row count, since a reciprocal checkpoint has twice the relation rows and
-  a checkpoint may have entity rows beyond the vocabulary, which are never
-  candidates. Both policies use it: an ``exclude`` call takes the part
-  that belongs to its kept rows.
+  read-only and after its refusal: the known-true candidates of every
+  query but its own target, keyed by split and direction.
 
 So the first model ranked on a dataset pays for the lookups, and every
 later one only ranks its blocks. A ``SplitDataset`` is frozen, its arrays
@@ -92,11 +95,10 @@ are read-only and it compares by identity, so the dataset object fixes what
 it holds. The set-up is kept in a dictionary keyed weakly by the dataset:
 it lives as long as the dataset and is freed with it. The index takes 24
 bytes per triple (about 26 MB for YAGO3-10's 1.09M triples); a lookup 16
-bytes per filtered pair plus 8 per id that is not a candidate; the kept
-``include`` pass 16 bytes per row and direction besides its copy of the
-parameters. At the ``perfbench/gen.py`` full shapes (seed 3), the test
-split's three lookups take 24 KB at ``fb15k-237`` and 0.1 KB at
-``wn18rr``, against 470 and 511 KB for the index; the pass that a
+bytes per filtered pair; the kept pass 16 bytes per row and direction
+besides its copy of the parameters. At the ``perfbench/gen.py`` full shapes
+(seed 3), the test split's three lookups take 24 KB at ``fb15k-237`` and
+0.1 KB at ``wn18rr``, against 470 and 511 KB for the index; the pass that a
 ``rank_records`` call keeps takes 19 and 2 KB, and its copy of a d = 16
 DistMult's tables 1.9 and 5.2 MB.
 """
@@ -185,10 +187,13 @@ def _check_params_finite(params: ModelParams) -> None:
         raise EvaluationError("parameter tables contain non-finite values")
 
 
-def _check_finite(target_scores: np.ndarray) -> None:
-    if not np.isfinite(target_scores).all():
-        bad = target_scores[~np.isfinite(target_scores)][0]
-        raise EvaluationError(f"target score {bad} is not finite; refusing to rank it")
+def _check_ranked(triples: np.ndarray, counts: np.ndarray) -> None:
+    """Refuse the first of ``triples`` that ``counts`` (``(directions, 4,
+    rows)`` of ``_counts``) mark as having a non-finite target score."""
+    unranked = (counts[:, 1] == 0).any(axis=0)
+    if unranked.any():
+        raise EvaluationError(f"triple {tuple(triples[unranked.argmax()].tolist())} has a target "
+                              f"score that is not finite; refusing to rank it")
 
 
 def _tie_ranks(optimistic: np.ndarray, level: np.ndarray,
@@ -221,16 +226,16 @@ def _counts(params: ModelParams, slot: str, plane: np.ndarray, queries: np.ndarr
     """Write to the four rows of ``out`` ``above``, ``level``, ``above_oov``
     and ``level_oov``: each row's candidates above its target column and
     level with it, the target included, and of those the ones in the columns
-    ``oov``. ``exclude`` reads the last two only in rows whose target is not
-    such a column.
+    ``oov``. The last two are read only in rows whose target is not such a
+    column. A row whose exact target score is not finite gets ``level`` 0.
 
-    ``plane``, ``queries`` and ``bound`` are ``screen``'s. Filtered and
-    non-candidate columns hold ``-inf``, below ``-bound``. Plane values
-    above ``bound`` count as above the target, and the band between
-    ``-bound`` and ``bound`` (``NaN`` included), which holds the target's
-    own value, is re-scored exactly in the rows where it holds more than the
-    target or where the target's plane value is not finite. Elsewhere the
-    screen bounds the exact target score, so it is finite.
+    ``plane``, ``queries`` and ``bound`` are ``screen``'s. Filtered columns
+    hold ``-inf``, below ``-bound``. Plane values above ``bound`` count as
+    above the target, and the band between ``-bound`` and ``bound`` (``NaN``
+    included), which holds the target's own value, is re-scored exactly in
+    the rows where it holds more than the target or where the target's plane
+    value is not finite. Elsewhere the screen bounds the exact target score,
+    so it is finite.
     """
     above, level, above_oov, level_oov = out
     # an int32 sum of the bytes counts a boolean row faster than count_nonzero
@@ -245,13 +250,12 @@ def _counts(params: ModelParams, slot: str, plane: np.ndarray, queries: np.ndarr
     if rows.size:
         i, x = np.nonzero(~(np.abs(plane[rows]) > bound))
         row_queries = queries[rows]
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target is refused
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target is marked
             target = pair_scores(params, slot, row_queries, targets[rows])
-            _check_finite(target)
-            scores, target = pair_scores(params, slot, row_queries[i], x), target[i]
-        higher, equal = scores > target, scores == target
+            scores = pair_scores(params, slot, row_queries[i], x)
+        higher, equal = scores > target[i], scores == target[i]
         above[rows] += np.bincount(i[higher], minlength=rows.size)
-        level[rows] = np.bincount(i[equal], minlength=rows.size)
+        level[rows] = np.bincount(i[equal], minlength=rows.size) * np.isfinite(target)
         if oov.size:
             is_oov = np.zeros(plane.shape[1], dtype=bool)
             is_oov[oov] = True
@@ -273,33 +277,29 @@ def _inverse_relations(params: ModelParams, r: np.ndarray) -> np.ndarray:
 
 def _rank_block(params: ModelParams, table: ScreenTable, slot: str, a: np.ndarray,
                 b: np.ndarray, targets: np.ndarray, query: np.ndarray, known: np.ndarray,
-                dropped: np.ndarray, oov: np.ndarray, out: np.ndarray) -> None:
+                oov: np.ndarray, out: np.ndarray) -> None:
     """Write the ``_counts`` of one block of queries to ``out``.
 
     One ``screen`` call screens the block against ``table``. The block's
-    filtered cells ``(query[i], known[i])`` and its ``dropped`` columns are
-    set to ``-inf`` before the candidates are counted. The score plane lives
-    only in this call, so a split holds one block's plane at a time.
+    filtered cells ``(query[i], known[i])`` are set to ``-inf`` before the
+    candidates are counted. The score plane lives only in this call, so a
+    split holds one block's plane at a time.
     """
     plane, queries, bound = screen(params, table, slot, a, b, targets)
     plane[query, known] = -np.inf
-    if dropped.size:
-        plane[:, dropped] = -np.inf
     _counts(params, slot, plane, queries, bound, targets, oov, out)
 
 
-def _filter_lookup(index: FilterIndex, triples: np.ndarray, direction: str, n_rows: int,
-                   candidates: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The filter lookup of one slot of each row of ``triples``: ``(query, known, dropped)``.
+def _filter_lookup(index: FilterIndex, triples: np.ndarray,
+                   direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """The filter lookup of one slot of each row of ``triples``: ``(query, known)``.
 
     One ``FilterIndex.runs`` lookup gives every row's known-true candidates,
-    then come the refusals of a row that is not in the index or whose target
-    is not a candidate (the first such row, in row order). ``query[i]`` is a
-    row and ``known[i]`` one of its known-true candidates other than its
-    target, grouped by row in ascending order; ``dropped`` holds the ids of
-    the ``n_rows`` candidate table rows outside ``candidates`` (``None``:
-    every row is one). The arrays are read-only. It reads only the dataset,
-    so ``_rank_split`` keeps it in the dataset's set-up.
+    then comes the refusal of the first row that is not in the index.
+    ``query[i]`` is a row and ``known[i]`` one of its known-true candidates
+    other than its target, grouped by row in ascending order. The arrays are
+    read-only. It reads only the dataset, so ``_rank_split`` keeps it in the
+    dataset's set-up.
     """
     h, r, t = triples.T
     if direction == "tail":
@@ -319,31 +319,15 @@ def _filter_lookup(index: FilterIndex, triples: np.ndarray, direction: str, n_ro
             f"triple {tuple(triples[found.argmin()].tolist())} is not in the filter index; "
             f"refusing to rank against unfiltered data"
         )
-    candidate = np.zeros(n_rows, dtype=bool)
-    candidate[slice(None) if candidates is None else candidates] = True
-    if not candidate[targets].all():
-        outside = targets[~candidate[targets]][0]
-        raise EvaluationError(f"target id {outside} is not in the candidate set")
     filtered = ~is_target
-    lookup = query[filtered], known[filtered], (~candidate).nonzero()[0]
+    lookup = query[filtered], known[filtered]
     for array in lookup:
         array.flags.writeable = False
     return lookup
 
 
-def _kept_lookup(lookup: tuple[np.ndarray, np.ndarray, np.ndarray], kept: np.ndarray,
-                 n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The part of a lookup of ``n`` rows that belongs to the rows ``kept``, renumbered."""
-    query, known, dropped = lookup
-    position = np.full(n, -1)
-    position[kept] = np.arange(len(kept))
-    query = position[query]
-    inside = query >= 0
-    return query[inside], known[inside], dropped
-
-
 def _rank_direction(params: ModelParams, table: ScreenTable, triples: np.ndarray,
-                    direction: str, lookup: tuple[np.ndarray, np.ndarray, np.ndarray],
+                    direction: str, lookup: tuple[np.ndarray, np.ndarray],
                     oov: np.ndarray) -> np.ndarray:
     """The ``_counts`` of one slot of each row of ``triples``, one column per row.
 
@@ -361,10 +345,10 @@ def _rank_direction(params: ModelParams, table: ScreenTable, triples: np.ndarray
         targets = h
     else:
         slot, a, b, targets = "r", h, t, r
-    query, known, dropped = lookup
+    query, known = lookup
     rows = params.relations if direction == "relation" else params.entities
     gathered = 0 if direction == "relation" else params.relations[0].size
-    step = max(1, BLOCK_FLOATS // (len(rows) + rows[0].size + gathered))
+    step = max(1, BLOCK_FLOATS // (len(table.rows) + rows[0].size + gathered))
     starts = range(0, len(triples), step)
     # the lookup groups the pairs by row, so one search splits them by block
     ends = query.searchsorted(starts[1:]).tolist() if len(starts) > 1 else []
@@ -372,7 +356,7 @@ def _rank_direction(params: ModelParams, table: ScreenTable, triples: np.ndarray
     for start, i, j in zip(starts, [0, *ends], [*ends, len(query)]):
         block = slice(start, start + step)
         _rank_block(params, table, slot, a[block], b[block], targets[block],
-                    query[i:j] - start, known[i:j], dropped, oov, counts[:, block])
+                    query[i:j] - start, known[i:j], oov, counts[:, block])
     return counts
 
 
@@ -384,20 +368,30 @@ def filtered_rank_pair(params: ModelParams, index: FilterIndex, h: int, r: int, 
     Candidates whose substituted triple occurs anywhere in the index are
     removed (the query triple itself survives). ``candidates`` optionally
     restricts the candidate ids (used by the exclude policy and by
-    reciprocal checkpoints whose parameter tables exceed the vocabulary).
-    This is the ranker of ``evaluate`` applied to a split of one query. Ids
-    outside the parameter tables raise ``IndexError``; non-finite parameters
-    are refused, as by ``evaluate``.
+    reciprocal checkpoints whose parameter tables exceed the vocabulary):
+    the other table rows are counted apart and come off, as ``exclude``
+    takes off the OOV columns. This is the ranker of ``evaluate`` applied to
+    a split of one query. Ids outside the parameter tables, candidates
+    included, raise ``IndexError``; non-finite parameters are refused, as by
+    ``evaluate``.
     """
     _check_tie(tie)
     triple = np.array([[h, r, t]], dtype=np.int64)
     id_arrays(params, h=triple[:, 0], r=triple[:, 1], t=triple[:, 2])
+    slot = "r" if direction == "relation" else "t"
+    outside = np.full(params.n_relations if slot == "r" else params.n_entities,
+                      candidates is not None)
+    if candidates is not None and len(candidates):  # an empty list has no integer dtype
+        outside[id_arrays(params, **{slot: candidates})[0]] = False
     _check_params_finite(params)
-    table = screen_table(params, "r" if direction == "relation" else "t")
-    lookup = _filter_lookup(index, triple, direction, len(table.rows), candidates)
-    counts = _rank_direction(params, table, triple, direction, lookup,
-                             np.empty(0, dtype=np.int64))
-    rank, hits_rank = _policy_ranks(counts, "include", tie)
+    lookup = _filter_lookup(index, triple, direction)
+    target = {"tail": t, "head": h, "relation": r}[direction]
+    if outside[target]:
+        raise EvaluationError(f"target id {target} is not in the candidate set")
+    counts = _rank_direction(params, screen_table(params, slot), triple, direction, lookup,
+                             np.flatnonzero(outside))
+    _check_ranked(triple, counts[None])
+    rank, hits_rank = _policy_ranks(counts, "exclude", tie)
     return float(rank[0]), int(hits_rank[0])
 
 
@@ -411,9 +405,9 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class _IncludePass:
-    """The counts of a dataset's last ``include`` call, by direction, over
-    every row of ``split``, and a copy of the parameters it ranked."""
+class _Pass:
+    """The counts of a dataset's last ranked call, by direction, over every
+    row of ``split``, and a copy of the parameters it ranked."""
 
     split: str
     counts: dict[str, np.ndarray]
@@ -437,15 +431,14 @@ class _Setup:
     ``exclude`` call has needed them, the positions of the evaluation
     splits' rows kept under ``exclude``; each ranked direction's
     ``_filter_lookup`` over every row of a split, keyed by ``(split,
-    direction, candidate table rows)``; and, if train lacks some ids, the
-    last ``include`` pass, until an ``exclude`` call takes it."""
+    direction)``; and, if train lacks some ids, the last ranked pass, until
+    a call takes it."""
 
     index: FilterIndex
     oov: tuple[np.ndarray, np.ndarray]
     kept: dict[str, np.ndarray] | None = None
-    lookups: dict[tuple[str, str, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = (
-        field(default_factory=dict))
-    last: _IncludePass | None = None
+    lookups: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    last: _Pass | None = None
 
 
 #: Each dataset's ``_Setup``; an entry goes when its dataset does.
@@ -479,32 +472,25 @@ def _setup(dataset: SplitDataset, policy: str) -> _Setup:
 
 
 def _count_split(params: ModelParams, setup: _Setup, dataset: SplitDataset, split: str,
-                 kept: np.ndarray | None, directions: tuple[str, ...]) -> np.ndarray:
-    """The ``_counts`` of the split's rows ``kept`` (``None``: every row), one
-    ``(4, rows)`` array per direction; every vocabulary id is a candidate,
-    and the ids train lacks are counted apart."""
+                 directions: tuple[str, ...]) -> np.ndarray:
+    """The ``_counts`` of every row of the split, one ``(4, rows)`` array per
+    direction; every vocabulary id is a candidate, and the ids train lacks
+    are counted apart."""
     triples = dataset.split(split)
-    ranked = triples if kept is None else triples[kept]
-    counts = np.empty((len(directions), 4, len(ranked)), dtype=np.int32)
+    counts = np.empty((len(directions), 4, len(triples)), dtype=np.int32)
     tables = {}  # by the slot whose table it is: heads and tails share the entities'
     for j, direction in enumerate(directions):
         if direction == "relation":
             slot, n_candidates, oov = "r", dataset.vocab.n_relations, setup.oov[1]
         else:
             slot, n_candidates, oov = "t", dataset.vocab.n_entities, setup.oov[0]
-        if slot not in tables:
-            tables[slot] = screen_table(params, slot)
-        # the table's row count is the model's: reciprocal checkpoints have
-        # more relation rows, and a checkpoint may have more entity rows,
-        # which are never candidates
-        key = (split, direction, len(tables[slot].rows))
-        lookup = setup.lookups.get(key)
+        if slot not in tables:  # a checkpoint's rows beyond the vocabulary are no candidates
+            tables[slot] = screen_table(params, slot, n_candidates)
+        lookup = setup.lookups.get((split, direction))
         if lookup is None:
-            lookup = setup.lookups[key] = _filter_lookup(
-                setup.index, triples, direction, key[2], np.arange(n_candidates))
-        if kept is not None:
-            lookup = _kept_lookup(lookup, kept, len(triples))
-        counts[j] = _rank_direction(params, tables[slot], ranked, direction, lookup, oov)
+            lookup = setup.lookups[split, direction] = _filter_lookup(setup.index, triples,
+                                                                      direction)
+        counts[j] = _rank_direction(params, tables[slot], triples, direction, lookup, oov)
     return counts
 
 
@@ -513,18 +499,19 @@ def _rank_split(params: ModelParams, dataset: SplitDataset, split: str, policy: 
     """The split's triples under ``policy``, and their MRR ranks and Hits ranks,
     one column per direction.
 
-    An ``include`` call on a dataset whose train split lacks some ids keeps
-    its counts and a copy of ``params`` in the dataset's set-up; the next
-    ``exclude`` call on the same split and
-    directions whose parameters are bitwise the copy takes its ranks from
-    them, less the OOV columns, in place of ranking its rows again.
+    Every row of the split is counted; ``exclude`` keeps the rows
+    ``detect_oov`` leaves and takes off their OOV counts. A call that counts
+    on a dataset whose train split lacks some ids keeps its counts and a
+    copy of ``params`` in the dataset's set-up; the next call, of either
+    policy, on the same split and directions whose parameters are bitwise
+    the copy takes its counts from them in place of ranking again.
     """
     if policy not in OOV_POLICIES:
         raise ValueError(f"unknown OOV policy {policy!r} (expected one of {OOV_POLICIES})")
     setup = _SETUPS.get(dataset)
-    last = setup.last if setup is not None and policy == "exclude" else None
+    last = setup.last if setup is not None else None
     served = last is not None and last.serves(params, split, directions)
-    if not served:  # else an include call has checked these very parameters on this dataset
+    if not served:  # else a ranked call has checked these very parameters on this dataset
         vocab = dataset.vocab
         if params.n_entities < vocab.n_entities:
             raise EvaluationError("params do not cover the dataset's entity vocabulary")
@@ -536,24 +523,21 @@ def _rank_split(params: ModelParams, dataset: SplitDataset, split: str, policy: 
     triples = dataset.split(split)
     setup = _setup(dataset, policy)
     kept = setup.kept.get(split) if policy == "exclude" else None
-    if kept is not None:
-        triples = triples[kept]
-    if not len(triples):
+    if not len(triples if kept is None else kept):
         raise EvaluationError(f"no {split} triples left to evaluate under policy {policy!r}")
     _check_tie(tie)
+    setup.last = None  # a served pass is freed; one copy of the parameters, also while ranking
     if served:
-        setup.last = None
         counts = np.stack([last.counts[direction] for direction in directions])
-        if kept is not None:
-            counts = counts[:, :, kept]
     else:
-        if policy == "include":
-            setup.last = None  # one copy of the parameters per dataset, also while ranking
-        counts = _count_split(params, setup, dataset, split, kept, directions)
+        counts = _count_split(params, setup, dataset, split, directions)
         # The blocks' planes and tables are gone. Where train holds every id,
-        # exclude keeps every row and candidate and ranks as include does.
-        if policy == "include" and (setup.oov[0].size or setup.oov[1].size):
-            setup.last = _IncludePass(split, dict(zip(directions, counts)), params.copy())
+        # as on a corrected copy, no pass is kept (see the module docstring).
+        if setup.oov[0].size or setup.oov[1].size:
+            setup.last = _Pass(split, dict(zip(directions, counts)), params.copy())
+    if kept is not None:
+        triples, counts = triples[kept], counts[:, :, kept]
+    _check_ranked(triples, counts)
     ranks = np.empty((len(triples), len(directions)))
     hits_ranks = np.empty(ranks.shape, dtype=np.int64)
     for j, direction_counts in enumerate(counts):

@@ -454,9 +454,10 @@ class ScreenTable:
     max_square_norm: float
 
 
-def screen_table(params: ModelParams, slot: str) -> ScreenTable:
-    """The screen table of ``slot``'s candidates; heads and tails share the entities'."""
-    table = _candidate_table(params, slot)
+def screen_table(params: ModelParams, slot: str, n_rows: int | None = None) -> ScreenTable:
+    """The screen table of ``slot``'s first ``n_rows`` candidate rows (``None``:
+    every row); heads and tails share the entities'."""
+    table = _candidate_table(params, slot)[:n_rows]
     with np.errstate(over="ignore"):  # an overflowing norm makes every row recounted
         square_norms = np.einsum("ij,ij->i", table, table)
     ones = np.ones((len(table), 1))

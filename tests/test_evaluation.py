@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import tempfile
 import tracemalloc
 import weakref
@@ -484,6 +485,12 @@ def test_rank_records_and_metrics_follow_filtered_rank_pair(kind):
                     records, ("relation",))
 
 
+def _fresh(ds):
+    """A dataset equal to ``ds`` with a set-up of its own, so a call on it
+    ranks: no earlier call's pass can serve it."""
+    return SplitDataset(ds.vocab, ds.train, ds.valid, ds.test)
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_rank_records_do_not_depend_on_the_block_size(kind, monkeypatch):
     # one query per block, a few per block, and the whole split in one block
@@ -497,7 +504,7 @@ def test_rank_records_do_not_depend_on_the_block_size(kind, monkeypatch):
                 records = []
                 for floats in (1, 60, 2 ** 62):
                     monkeypatch.setattr(evaluation, "BLOCK_FLOATS", floats)
-                    records.append(rank_records(params, ds, policy=policy, tie=tie))
+                    records.append(rank_records(params, _fresh(ds), policy=policy, tie=tie))
                 assert records[0] == records[1] == records[2], (policy, tie, reciprocal)
 
 
@@ -515,9 +522,9 @@ def _oov_splits(seed):
 
 @pytest.mark.parametrize("policy", OOV_POLICIES)
 def test_each_ranked_direction_makes_one_filter_lookup(policy, monkeypatch):
-    # The lookup and the refusals belong to the dataset's split and direction:
-    # not to a block, a call or a policy. Each covers every row of its split,
-    # and an exclude call takes the part that belongs to the rows it keeps.
+    # The lookup and its refusal belong to the dataset's split and direction:
+    # not to a block, a call, a policy or a model. Each covers every row of
+    # its split.
     ds = make_dataset(*_oov_splits(60))
     params = init_params("distmult", ds.vocab.n_entities, ds.vocab.n_relations, 3, seed=7)
     runs, calls = FilterIndex.runs, []
@@ -532,13 +539,20 @@ def test_each_ranked_direction_makes_one_filter_lookup(policy, monkeypatch):
         calls.clear()
         rank_records(params, ds, policy=policy)
         assert calls == ([len(ds.test)] * 3 if floats == 1 else []), floats
-    # the other policy on the same split, served from the last include call or
-    # not, makes none; the valid split makes its own three
+    # the other policy on the same split makes none; the valid split makes its own three
     other = OOV_POLICIES[1 - OOV_POLICIES.index(policy)]
     for split, other_policy, want in (("test", other, []), ("valid", policy, [len(ds.valid)] * 3)):
         calls.clear()
         rank_records(params, ds, split=split, policy=other_policy)
         assert calls == want, (split, other_policy)
+    # nor does a model with more relation or entity rows than the vocabulary:
+    # those rows are no candidates, so the lookups do not depend on them
+    n_e, n_r = ds.vocab.n_entities, ds.vocab.n_relations
+    for wide in (replace(init_params("distmult", n_e, 2 * n_r, 3, seed=7), reciprocal=True),
+                 init_params("distmult", n_e + 4, n_r, 3, seed=7)):
+        calls.clear()
+        rank_records(wide, ds, policy=policy)
+        assert calls == [], wide.reciprocal
 
 
 def _counting_screens(monkeypatch):
@@ -582,15 +596,23 @@ def test_an_exclude_call_after_include_is_served_and_equals_a_ranked_one(kind, m
         for split in ("valid", "test"):
             for tie in TIES:
                 fns = (evaluate, evaluate_relation_prediction, rank_records)
-                ranked = {fn: fn(params, make_dataset(*splits), split=split, policy="exclude",
-                                 tie=tie) for fn in fns}
+                ranked, included = ({fn: fn(params, make_dataset(*splits), split=split,
+                                            policy=policy, tie=tie) for fn in fns}
+                                    for policy in ("exclude", "include"))
                 for fn in fns:
                     include = fn(params, ds, split=split, policy="include", tie=tie)
                     screens.clear()
                     served = fn(params.copy(), ds, split=split, policy="exclude", tie=tie)
                     assert screens == [], (reciprocal, split, tie, fn.__name__)
                     assert served == ranked[fn] != include, (reciprocal, split, tie, fn.__name__)
-                # the ranked calls against filtered_rank_pair, which drops the OOV columns
+                    # and an include call served after a ranked exclude call
+                    assert fn(params, ds, split=split, policy="exclude", tie=tie) == served
+                    screens.clear()
+                    served = fn(params.copy(), ds, split=split, policy="include", tie=tie)
+                    assert screens == [], (reciprocal, split, tie, fn.__name__)
+                    assert served == included[fn] == include, (reciprocal, split, tie,
+                                                               fn.__name__)
+                # the ranked calls against filtered_rank_pair, which takes off the OOV columns
                 records = ranked[rank_records]
                 for rec in records:
                     for direction, cands in (("tail", ents), ("head", ents), ("relation", rels)):
@@ -639,18 +661,19 @@ def test_an_exclude_call_that_differs_from_the_last_include_call_is_ranked(chang
         assert got == other_fn(params, make_dataset(*splits), split=split, policy="exclude")
 
 
-def test_only_the_first_exclude_call_after_an_include_call_is_served(monkeypatch):
-    # Where train holds every id, exclude ranks as include does and no pass is kept.
+def test_only_the_first_call_after_a_ranked_call_is_served(monkeypatch):
+    # Whatever the policy of either call. Where train holds every id, exclude
+    # ranks as include does and no pass is kept.
     train, valid, test = _served_splits()
     clean = make_dataset(train, [], [tr for tr in test if tr[1] != "rq" and "ghost" not in tr])
     assert not detect_oov(clean).test.affected
     screens = _counting_screens(monkeypatch)
     for ds, policies, ranked in (
-            (make_dataset(train, valid, test), ("include", "include"), [True, True]),
+            (make_dataset(train, valid, test), ("include", "include"), [True, False]),
             (make_dataset(train, valid, test), ("include", "exclude", "exclude"),
              [True, False, True]),
             (make_dataset(train, valid, test), ("exclude", "include", "exclude"),
-             [True, True, False]),
+             [True, False, True]),
             (clean, ("include", "exclude"), [True, True])):
         params = init_params("complex", ds.vocab.n_entities, ds.vocab.n_relations, 3, seed=18)
         got, records = [], []
@@ -663,9 +686,9 @@ def test_only_the_first_exclude_call_after_an_include_call_is_served(monkeypatch
 
 
 def test_interleaved_models_rank_as_on_a_fresh_load(tmp_path):
-    # The lookups are keyed by the candidate table's row count and the policy:
-    # a reciprocal model has twice the relation rows, and a wide one more
-    # entity rows than the vocabulary, which are never candidates.
+    # A reciprocal model has twice the relation rows, and a wide one more
+    # entity rows than the vocabulary, which are never candidates; all three
+    # share the dataset's lookups.
     layout = DatasetLayout(dir=write_split_files(tmp_path / "raw", *_oov_splits(61)))
     ds = load_dataset(layout)
     n_e, n_r = ds.vocab.n_entities, ds.vocab.n_relations
@@ -960,7 +983,7 @@ def test_near_tie_ranks_do_not_depend_on_the_block_size(kind, dim, monkeypatch):
         records = []
         for floats in (1, 60, 2 ** 62):
             monkeypatch.setattr(evaluation, "BLOCK_FLOATS", floats)
-            records.append(rank_records(params, ds))
+            records.append(rank_records(params, _fresh(ds)))
         assert records[0] == records[1] == records[2], scale
 
 
@@ -1085,6 +1108,43 @@ def test_overflowing_target_score_is_refused():
         filtered_rank_pair(params, filter_index_build(ds), *ds.test[0], "tail")
 
 
+def _by_label(result, ds):
+    """A report's JSON fields but its policy, or rank records with labelled
+    triples: what a corrected copy, with its own ids, must reproduce."""
+    if isinstance(result, list):
+        v = ds.vocab
+        return [replace(rec, triple=(v.entity_label(rec.triple[0]), v.relation_label(rec.triple[1]),
+                                     v.entity_label(rec.triple[2]))) for rec in result]
+    return {key: value for key, value in result.to_json_dict(ds).items() if key != "policy"}
+
+
+def test_an_oov_row_whose_target_score_overflows_is_refused_by_include_alone(tmp_path):
+    # Every TransE distance to the OOV test entity's row of 1e200 overflows,
+    # so that row's target scores are not finite. include refuses the triple;
+    # exclude equals include on the corrected copy, ranked first on a fresh
+    # load or after include.
+    layout = DatasetLayout(dir=_oov_files(tmp_path))
+    raw = load_dataset(layout)
+    write_corrected(raw, detect_oov(raw), tmp_path / "corrected")
+    corrected = load_dataset(DatasetLayout(dir=tmp_path / "corrected"))
+    params = init_params("transe", raw.vocab.n_entities, raw.vocab.n_relations, 3, seed=19)
+    spook = raw.vocab.entity_id("spook")
+    params.entities[spook] = 1e200
+    params_corr = align_params_to_vocab(params, list(raw.vocab.entities),
+                                        list(raw.vocab.relations), corrected.vocab)
+    (oov_triple,) = [tuple(tr) for tr in raw.test.tolist() if spook in tr]
+    fns = (evaluate, evaluate_relation_prediction, rank_records)
+    for fn in fns:
+        want = _by_label(fn(params_corr, corrected, policy="include"), corrected)
+        for include_first in (False, True):
+            ds = load_dataset(layout)
+            if include_first:
+                with pytest.raises(EvaluationError, match=re.escape(f"triple {oov_triple} ")):
+                    fn(params, ds, policy="include")
+            assert _by_label(fn(params, ds, policy="exclude"), ds) == want, (fn.__name__,
+                                                                              include_first)
+
+
 def test_filtered_rank_pair_refuses_ids_outside_the_tables():
     # numpy would wrap a negative id silently
     ds = make_dataset([("a", "p", "b"), ("b", "p", "c")], [], [])
@@ -1094,15 +1154,26 @@ def test_filtered_rank_pair_refuses_ids_outside_the_tables():
         for direction in DIRECTIONS:
             with pytest.raises(IndexError, match="out of range"):
                 filtered_rank_pair(params, idx, *triple, direction)
+    # so would a negative candidate id, admitting the last row
+    triple = ds.train[0].tolist()
+    for direction in DIRECTIONS:
+        rows = 1 if direction == "relation" else 3
+        for candidates, error, match in (([*range(rows), -1], IndexError, "-1 out of range"),
+                                         ([*range(rows), rows], IndexError, "out of range"),
+                                         ([float(x) for x in range(rows)], TypeError,
+                                          "must be integers")):
+            with pytest.raises(error, match=match):
+                filtered_rank_pair(params, idx, *triple, direction, candidates=candidates)
 
 
 def test_filtered_rank_pair_refuses_a_target_outside_the_candidates():
     ds = make_dataset([("a", "p", "b"), ("b", "p", "c")], [], [])
     params = init_params("distmult", 3, 1, 3, seed=0)
     a, b, c = (ds.vocab.entity_id(x) for x in "abc")
-    with pytest.raises(EvaluationError, match=f"target id {b} is not in the candidate set"):
-        filtered_rank_pair(params, filter_index_build(ds), a, 0, b, "tail",
-                           candidates=np.array([a, c]))
+    for candidates in (np.array([a, c]), []):
+        with pytest.raises(EvaluationError, match=f"target id {b} is not in the candidate set"):
+            filtered_rank_pair(params, filter_index_build(ds), a, 0, b, "tail",
+                               candidates=candidates)
 
 
 def test_filtered_rank_pair_refuses_non_finite_parameters_as_evaluate_does():
