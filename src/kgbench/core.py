@@ -2,9 +2,10 @@
 
 Everything here is immutable after construction. Ids are dense
 non-negative integers assigned by first occurrence in the concatenation
-train + valid + test; out-of-vocabulary status is always decided by set
-membership, never by id arithmetic. A split is a read-only ``(n, 3)``
-int64 array of ``(h, r, t)`` id rows; ``Triple`` names a single triple.
+train + valid + test, by one function, :func:`intern_splits`;
+out-of-vocabulary status is always decided by set membership, never by id
+arithmetic. A split is a read-only ``(n, 3)`` int64 array of
+``(h, r, t)`` id rows; ``Triple`` names a single triple.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,9 +41,11 @@ SPLIT_NAMES = ("train", "valid", "test")
 class Vocabulary:
     """Bidirectional label <-> dense-id mapping for entities and relations.
 
-    Label ``i`` of ``entities`` or ``relations`` has id ``i``; the
-    ``entity_ids`` and ``relation_ids`` dicts are always derived from the
-    label order, never passed in.
+    Label ``i`` of ``entities`` or ``relations`` has id ``i``, which the
+    ``entity_ids`` and ``relation_ids`` dicts map it to. The constructor
+    derives them from the labels and takes none; :func:`intern_splits`
+    hands over the lookups its pass built, with no copy. Looking up an
+    unknown label raises ``KeyError`` and adds nothing.
     """
 
     entities: tuple[str, ...]
@@ -57,6 +61,21 @@ class Vocabulary:
             if len(lookup) != len(labels):
                 raise DatasetError(f"duplicate {kind} labels in vocabulary")
             object.__setattr__(self, ids, lookup)
+
+    @classmethod
+    def _of_lookups(cls, entity_ids: dict[str, int], relation_ids: dict[str, int]
+                    ) -> "Vocabulary":
+        """The vocabulary that keeps these lookups as they are, with no copy.
+
+        Each lookup must map its keys, in insertion order, to 0, 1, 2, ...;
+        its keys are then the labels in id order.
+        """
+        vocab = cls.__new__(cls)
+        for name, value in (("entities", tuple(entity_ids)), ("relations", tuple(relation_ids)),
+                            ("entity_ids", entity_ids), ("relation_ids", relation_ids),
+                            ("_sha256", None)):
+            object.__setattr__(vocab, name, value)
+        return vocab
 
     @property
     def n_entities(self) -> int:
@@ -98,14 +117,40 @@ class Vocabulary:
         return self._sha256
 
 
+def intern_splits(labeled: Sequence[np.ndarray]) -> tuple[Vocabulary, tuple[np.ndarray, ...]]:
+    """Number every label by first occurrence and give each split its ids, in one pass.
+
+    ``labeled`` holds ``(n, 3)`` label arrays, such as
+    :func:`kgbench.ingest.parse_triples` returns, in the order train,
+    valid, test. Entities are numbered in the order h, t of row 0, then
+    h, t of row 1, and so on through each array in turn; relations in row
+    order. Each label is looked up once, and the lookup that meets it
+    first gives it the next id. Returns the vocabulary, which keeps those
+    lookups, and each array's read-only ``(n, 3)`` int64 id array.
+    """
+    entity_ids = defaultdict(itertools.count().__next__)
+    relation_ids = defaultdict(itertools.count().__next__)
+    splits = []
+    for labels in labeled:
+        n = len(labels)
+        ids = np.empty((n, 3), dtype=np.int64)
+        ids[:, ::2] = np.fromiter(map(entity_ids.__getitem__, labels[:, ::2].ravel()),
+                                  np.int64, 2 * n).reshape(n, 2)
+        ids[:, 1] = np.fromiter(map(relation_ids.__getitem__, labels[:, 1]), np.int64, n)
+        ids.flags.writeable = False
+        splits.append(ids)
+    # from here on an unknown label raises KeyError instead of getting an id
+    entity_ids.default_factory = relation_ids.default_factory = None
+    return Vocabulary._of_lookups(entity_ids, relation_ids), tuple(splits)
+
+
 def build_vocabulary(triples: np.ndarray | Iterable[LabeledTriple]) -> Vocabulary:
     """Intern labels in first-occurrence order; duplicates collapse silently.
 
     ``triples`` is an ``(n, 3)`` label array, such as
     :func:`kgbench.ingest.parse_triples` returns, or any iterable of
-    ``(h, r, t)`` label triples, which is converted to one first.
-    Entities are numbered in the order h, t of row 0, then h, t of row 1,
-    and so on; relations in row order.
+    ``(h, r, t)`` label triples, which is converted to one first. The ids
+    are those :func:`intern_splits` gives, by the same pass.
     """
     if not isinstance(triples, np.ndarray):
         triples = np.array(list(triples), dtype=object)
@@ -113,8 +158,7 @@ def build_vocabulary(triples: np.ndarray | Iterable[LabeledTriple]) -> Vocabular
         triples = triples.reshape(0, 3)
     if triples.ndim != 2 or triples.shape[1] != 3:
         raise DatasetError(f"labeled triples must form an (n, 3) array, got shape {triples.shape}")
-    return Vocabulary(tuple(dict.fromkeys(triples[:, [0, 2]].ravel())),
-                      tuple(dict.fromkeys(triples[:, 1])))
+    return intern_splits([triples])[0]
 
 
 def as_triples(triples: np.ndarray | Iterable[tuple[int, int, int]]) -> np.ndarray:

